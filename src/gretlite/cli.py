@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from gretlite import corpus
@@ -31,17 +30,26 @@ def _read(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
-def _write_atomic(path: str, text: str):
-    """Write via temp-then-rename so failures never leave partial files."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gretlite-")
+def _write_all(outputs: list[tuple[str, str]]):
+    """Write each (path, text): stage every file beside its target, then
+    rename them all into place, so a failure while staging leaves no
+    output written and no partial file."""
+    staged: list[tuple[str, str]] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            directory = os.path.dirname(os.path.abspath(path))
+            tmp = os.path.join(directory, f".gretlite-{os.urandom(8).hex()}")
+            # mode 0o666 lets the umask decide, as for any new file
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -74,11 +82,12 @@ def cmd_transform(args) -> int:
         target_schema=None if args.in_place else target_schema,
         in_place=args.in_place,
     )
-    _write_atomic(args.out, save_graph(result.graph))
+    outputs = [(args.out, save_graph(result.graph))]
     if args.trace is not None:
-        _write_atomic(args.trace, trace_report(result.trace))
+        outputs.append((args.trace, trace_report(result.trace)))
     if args.dot is not None:
-        _write_atomic(args.dot, export_dot(result.graph))
+        outputs.append((args.dot, export_dot(result.graph)))
+    _write_all(outputs)
     return 0
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from gretlite.errors import ParseError
 
-# Longest first so maximal munch falls out of a linear scan.
+# Longest first: regex alternation takes the first alternative that
+# matches, so maximal munch falls out of the order.
 _SYMBOLS = (
     "<>--", "<==", "-->", "<->", "<--", ":=", "<=", ">=", "<>", "++", "->",
     "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "|", "?", "$", "!",
@@ -15,9 +17,25 @@ _SYMBOLS = (
 
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
+# One alternative per token kind, tried in order.  Numbers use decimal
+# digits only (`\d`); other digits such as '²' are word characters, so
+# they may continue an identifier but never start a token.  BADSTRING
+# matches the longest well-formed prefix of a string that has no closing
+# quote, so the character after it tells which error to report.
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)"
+    r"|(?P<SKIP>[^\S\n]+|//[^\n]*)"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<IDENT>\w+)"
+    r'|(?P<STRING>"(?:[^"\\\n]|\\["\\ntr])*")'
+    r'|(?P<BADSTRING>"(?:[^"\\\n]|\\["\\ntr])*)'
+    r"|(?P<SYMBOL>" + "|".join(map(re.escape, _SYMBOLS)) + ")"
+    r"|(?P<MISMATCH>.)"
+)
+_ESCAPE = re.compile(r"\\(.)")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # IDENT, NUMBER, STRING, SYMBOL, EOF
     text: str
     value: object
@@ -27,97 +45,40 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def error(msg):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("IDENT", word, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
-            value = float(word) if is_float else int(word)
-            tokens.append(Token("NUMBER", word, value, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n:
-                    error("unterminated string literal")
-                ch = text[j]
-                if ch == '"':
-                    j += 1
-                    break
-                if ch == "\n":
-                    error("unterminated string literal")
-                if ch == "\\":
-                    if j + 1 >= n or text[j + 1] not in _STRING_ESCAPES:
-                        error("invalid string escape")
-                    out.append(_STRING_ESCAPES[text[j + 1]])
-                    j += 2
-                    continue
-                out.append(ch)
-                j += 1
-            tokens.append(
-                Token("STRING", text[i:j], "".join(out), start_line, start_col)
-            )
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYMBOL", sym, sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
+        word = m.group()
+        column = m.start() - line_start + 1
+        if kind == "SYMBOL" or (
+                kind == "IDENT" and (word[0].isalpha() or word[0] == "_")):
+            append(Token(kind, word, word, line, column))
+        elif kind == "NUMBER":
+            try:
+                value = int(word) if word.isdecimal() else float(word)
+            except ValueError:  # beyond int()'s digit limit
+                raise ParseError(
+                    f"number literal too long ({len(word)} digits)",
+                    line, column) from None
+            append(Token(kind, word, value, line, column))
+        elif kind == "STRING":
+            value = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e[1]], word[1:-1])
+            append(Token(kind, word, value, line, column))
+        elif kind == "BADSTRING":
+            bad_escape = text.startswith("\\", m.end())
+            raise ParseError(
+                "invalid string escape" if bad_escape
+                else "unterminated string literal", line, column)
         else:
-            error(f"unexpected character {c!r}")
-    tokens.append(Token("EOF", "", None, line, col))
+            raise ParseError(f"unexpected character {word[0]!r}", line, column)
+    append(Token("EOF", "", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -129,7 +90,11 @@ class TokenStream:
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        # next() never moves past EOF, so only a look-ahead can overrun
+        try:
+            return self._tokens[self._pos + ahead]
+        except IndexError:
+            return self._tokens[-1]
 
     def next(self) -> Token:
         tok = self.peek()

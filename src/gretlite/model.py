@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from gretlite.errors import GraphError, SchemaError
 
@@ -73,7 +74,9 @@ class Schema:
     Class names share one namespace across both kinds.  Supertypes must be
     defined before their subtypes, which keeps both inheritance graphs
     acyclic by construction; the one remaining loophole (a class naming
-    itself) is rejected explicitly.
+    itself) is rejected explicitly.  Because a class never changes once
+    defined, its closures and flattened attributes are computed when it is
+    defined and only looked up afterwards.
     """
 
     def __init__(self, name: str):
@@ -82,6 +85,10 @@ class Schema:
         # class -> attr name -> (declaring class, type); insertion order is
         # supertype-first so instances list inherited attributes first.
         self._flat: dict[str, dict[str, tuple[str, AttrType]]] = {}
+        # class -> read-only attr name -> type view of `_flat`
+        self._attr_types: dict[str, MappingProxyType] = {}
+        self._supers: dict[str, frozenset[str]] = {}
+        self._subs: dict[str, tuple[str, ...]] = {}
 
     @property
     def vertex_classes(self) -> list[VertexClass]:
@@ -95,8 +102,12 @@ class Schema:
         return name in self._classes
 
     def element_class(self, name: str) -> VertexClass | EdgeClass:
+        return self._lookup(self._classes, name)
+
+    @staticmethod
+    def _lookup(table: dict, name: str):
         try:
-            return self._classes[name]
+            return table[name]
         except KeyError:
             raise SchemaError(f"unknown class '{name}'") from None
 
@@ -118,39 +129,39 @@ class Schema:
     def is_edge_class(self, name: str) -> bool:
         return isinstance(self._classes.get(name), EdgeClass)
 
-    def superclasses(self, name: str) -> set[str]:
+    def superclasses(self, name: str) -> frozenset[str]:
         """Transitive supertypes of `name`, including `name` itself."""
-        cls = self.element_class(name)
-        out = {name}
-        for sup in cls.supertypes:
-            out |= self.superclasses(sup)
-        return out
+        return self._lookup(self._supers, name)
 
-    def subclasses(self, name: str) -> list[str]:
+    def subclasses(self, name: str) -> tuple[str, ...]:
         """Classes that conform to `name` (including it), declaration order."""
-        self.element_class(name)
-        return [c for c in self._classes if name in self.superclasses(c)]
+        return self._lookup(self._subs, name)
 
     def conforms(self, sub: str, sup: str) -> bool:
-        """True iff `sub` equals `sup` or transitively specializes it."""
-        subcls = self.element_class(sub)
-        supcls = self.element_class(sup)
-        if type(subcls) is not type(supcls):
-            return False
-        return sup in self.superclasses(sub)
+        """True iff `sub` equals `sup` or transitively specializes it.
 
-    def flat_attributes(self, name: str) -> dict[str, AttrType]:
-        """All attributes of a class after inheritance flattening."""
-        self.element_class(name)
-        return {a: t for a, (_, t) in self._flat[name].items()}
+        Supertypes are always of the class's own kind, so a vertex class
+        never conforms to an edge class or the other way round.
+        """
+        supers = self._supers.get(sub)
+        if supers is None or sup not in self._supers:
+            # raise the unknown-class error for whichever name is unknown
+            self.element_class(sub)
+            self.element_class(sup)
+        return sup in supers
+
+    def flat_attributes(self, name: str) -> MappingProxyType:
+        """All attributes of a class after inheritance flattening, as a
+        read-only attr name -> AttrType mapping."""
+        return self._lookup(self._attr_types, name)
 
     def attribute_type(self, class_name: str, attr_name: str) -> AttrType:
-        flat = self.flat_attributes(class_name)
-        if attr_name not in flat:
+        atype = self.flat_attributes(class_name).get(attr_name)
+        if atype is None:
             raise SchemaError(
                 f"class '{class_name}' declares no attribute '{attr_name}'"
             )
-        return flat[attr_name]
+        return atype
 
     def define_vertex_class(
         self,
@@ -232,6 +243,14 @@ class Schema:
             merged[attr] = (cls.name, atype)
         self._classes[cls.name] = cls
         self._flat[cls.name] = merged
+        self._attr_types[cls.name] = MappingProxyType(
+            {a: t for a, (_, t) in merged.items()})
+        supers = frozenset({cls.name}).union(
+            *(self._supers[sup] for sup in cls.supertypes))
+        self._supers[cls.name] = supers
+        self._subs[cls.name] = ()
+        for sup in supers:
+            self._subs[sup] += (cls.name,)
 
 
 class Element:
@@ -283,7 +302,6 @@ class Element:
         return list(self._attrs)
 
     def is_instance_of(self, class_name: str) -> bool:
-        self.graph.schema.element_class(class_name)
         return self.graph.schema.conforms(self.class_name, class_name)
 
     def _require_alive(self):
@@ -298,9 +316,10 @@ class Vertex(Element):
 
     def __init__(self, graph, eid, class_name):
         super().__init__(graph, eid, class_name)
-        # Combined incidence sequence in creation order; a loop edge
-        # contributes one "out" and one "in" entry.
-        self._entries: list[tuple[str, Edge]] = []
+        # Combined incidence sequence in creation order, as the keys of an
+        # insertion-ordered dict so one entry is removed in O(1); a loop
+        # edge contributes one "out" and one "in" entry.
+        self._entries: dict[tuple[str, Edge], None] = {}
 
     def incidences(self, direction: str = "both") -> list[tuple[str, Edge]]:
         self._require_alive()
@@ -416,8 +435,8 @@ class Graph:
         e = Edge(self, self._next_eid, class_name, start, end)
         self._next_eid += 1
         self._edges[e.id] = e
-        start._entries.append(("out", e))
-        end._entries.append(("in", e))
+        start._entries[("out", e)] = None
+        end._entries[("in", e)] = None
         self._bump()
         return e
 
@@ -425,8 +444,8 @@ class Graph:
         if not isinstance(e, Edge) or e.graph is not self:
             raise GraphError("not an edge of this graph")
         e._require_alive()
-        e.start._entries = [(d, x) for d, x in e.start._entries if x is not e]
-        e.end._entries = [(d, x) for d, x in e.end._entries if x is not e]
+        del e.start._entries[("out", e)]
+        del e.end._entries[("in", e)]
         del self._edges[e.id]
         e.alive = False
         self._bump()

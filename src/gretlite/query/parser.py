@@ -1,7 +1,10 @@
 """Recursive-descent parser for the query language.
 
-The grammar is published in the README.  The parser works on a shared
-TokenStream so transformation scripts can embed queries directly.
+The grammar is the one this module implements: `QueryParser` has one
+method per precedence level (listed above `parse_expression`), tokens come
+from `gretlite.lexer`, and the AST node types are in `gretlite.query.nodes`.
+The parser works on a shared TokenStream so transformation scripts can
+embed queries directly.
 """
 
 from __future__ import annotations

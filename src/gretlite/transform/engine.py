@@ -35,28 +35,34 @@ class TraceabilityMap:
     so an archetype registered for a concrete class resolves through any
     of its supertypes.  Registration rejects an archetype that is already
     visible through any lookup class shared with the new entry.
+
+    The union views handed to queries are built once per lookup class and
+    kept until the next registration, which drops them all.  A dropped
+    view is never changed, so a query that holds one keeps a consistent
+    snapshot.
     """
 
     def __init__(self, schema: model.Schema):
         self._schema = schema
         self._maps: dict[str, ValueMap] = {}
+        # (class, inverse) -> img (False) or arch (True) union view
+        self._views: dict[tuple[str, bool], ValueMap] = {}
 
     def register(self, class_name: str, archetype, element: model.Element):
-        self._schema.element_class(class_name)
-        for related in self._related(class_name):
-            existing = self._maps.get(related)
-            if existing is not None and archetype in existing:
-                raise TransformError(
-                    f"archetype {render_value(archetype)} already has an "
-                    f"image visible via class '{related}'"
-                )
+        shared = self._schema.superclasses(class_name)
+        clashes = [
+            cls for cls, entries in self._maps.items()
+            if not shared.isdisjoint(self._schema.superclasses(cls))
+            and archetype in entries
+        ]
+        if clashes:
+            first = next(c for c in self.classes() if c in clashes)
+            raise TransformError(
+                f"archetype {render_value(archetype)} already has an "
+                f"image visible via class '{first}'"
+            )
         self._maps.setdefault(class_name, ValueMap()).put(archetype, element)
-
-    def _related(self, class_name: str) -> set[str]:
-        out: set[str] = set()
-        for sup in self._schema.superclasses(class_name):
-            out.update(self._schema.subclasses(sup))
-        return out
+        self._views = {}
 
     def image(self, class_name: str, archetype) -> model.Element | None:
         for cls in self._schema.subclasses(class_name):
@@ -67,22 +73,26 @@ class TraceabilityMap:
 
     def img_value(self, class_name: str) -> ValueMap:
         """Union-view archetype -> image map for a class, as a query value."""
-        out = ValueMap()
-        for cls in self._schema.subclasses(class_name):
-            entries = self._maps.get(cls)
-            if entries is not None:
-                for arch, el in entries.items():
-                    out.put(arch, el)
-        return out
+        return self._view(class_name, False)
 
     def arch_value(self, class_name: str) -> ValueMap:
-        out = ValueMap()
-        for cls in self._schema.subclasses(class_name):
-            entries = self._maps.get(cls)
-            if entries is not None:
-                for arch, el in entries.items():
-                    out.put(el, arch)
-        return out
+        """Union-view image -> archetype map for a class, as a query value."""
+        return self._view(class_name, True)
+
+    def _view(self, class_name: str, inverse: bool) -> ValueMap:
+        view = self._views.get((class_name, inverse))
+        if view is None:
+            view = ValueMap()
+            for cls in self._schema.subclasses(class_name):
+                entries = self._maps.get(cls)
+                if entries is not None:
+                    for arch, el in entries.items():
+                        if inverse:
+                            view.put(el, arch)
+                        else:
+                            view.put(arch, el)
+            self._views[(class_name, inverse)] = view
+        return view
 
     def classes(self) -> list[str]:
         ordered = [c.name for c in self._schema.vertex_classes]
@@ -287,20 +297,17 @@ def _create_template_edges(ctx, template: ops.Template, aliases, dollar):
         _apply_assigns(ctx, edge, te.assigns, dollar)
 
 
-def _collect_elements(value, out: list, seen: set):
-    if isinstance(value, model.Element):
-        if id(value) not in seen:
-            seen.add(id(value))
-            out.append(value)
-    elif is_collection(value):
+def _leaves(value):
+    """The members of `value` that are not collections, depth first.
+
+    MatchReplace skips the leaves that are not graph elements; Delete
+    rejects them.
+    """
+    if is_collection(value):
         for member in value:
-            _collect_elements(member, out, seen)
-
-
-def _match_elements(match) -> list[model.Element]:
-    out: list[model.Element] = []
-    _collect_elements(match, out, set())
-    return out
+            yield from _leaves(member)
+    else:
+        yield value
 
 
 def _match_replace(ctx, op: ops.MatchReplace) -> int:
@@ -312,7 +319,10 @@ def _match_replace(ctx, op: ops.MatchReplace) -> int:
     skipped = 0
     stats = MatchReplaceStats(0, 0, [])
     for match in matches:
-        elements = _match_elements(match)
+        elements = list({
+            id(el): el for el in _leaves(match)
+            if isinstance(el, model.Element)
+        }.values())
         if any(id(el) in touched or not el.alive for el in elements):
             skipped += 1
             continue
@@ -373,8 +383,13 @@ def _delete(ctx, op: ops.Delete) -> int:
     value = ctx.eval(op.query)
     if not is_collection(value):
         raise TransformError("Delete expects its query to yield a collection")
-    flat: list = []
-    _flatten_elements(value, flat)
+    flat = list(_leaves(value))
+    for el in flat:
+        if not isinstance(el, model.Element):
+            raise TransformError(
+                f"Delete results must contain graph elements only, got "
+                f"{render_value(el) if el is not UNDEFINED else 'undefined'}"
+            )
     deleted = 0
     for el in flat:
         if isinstance(el, model.Edge) and el.alive:
@@ -384,19 +399,6 @@ def _delete(ctx, op: ops.Delete) -> int:
         if isinstance(el, model.Vertex) and el.alive:
             deleted += len(ctx.target.delete_vertex(el))
     return deleted
-
-
-def _flatten_elements(value, out: list):
-    if isinstance(value, model.Element):
-        out.append(value)
-    elif is_collection(value):
-        for member in value:
-            _flatten_elements(member, out)
-    else:
-        raise TransformError(
-            f"Delete results must contain graph elements only, got "
-            f"{render_value(value) if value is not UNDEFINED else 'undefined'}"
-        )
 
 
 def _iteratively(ctx, op: ops.Iteratively, round_limit: int) -> int:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+from gretlite.errors import ParseError
+from gretlite.lexer import _STRING_ESCAPES, _SYMBOLS, Token
 from gretlite.query.evaluator import evaluate
 from gretlite.values import OrderedSet, ValueMap, value_key
 
@@ -252,3 +254,123 @@ def _partition(colors: dict) -> frozenset:
     for vid, color in colors.items():
         groups.setdefault(color, set()).add(vid)
     return frozenset(frozenset(v) for v in groups.values())
+
+
+def naive_superclasses(schema, name) -> set[str]:
+    """`name` and its transitive supertypes, by recursion over the
+    declared supertypes."""
+    out = {name}
+    for sup in schema.element_class(name).supertypes:
+        out |= naive_superclasses(schema, sup)
+    return out
+
+
+def naive_subclasses(schema, name) -> list[str]:
+    """Classes with `name` among their supertypes, in declaration order."""
+    kind = type(schema.element_class(name))
+    declared = [c.name for c in schema.vertex_classes + schema.edge_classes]
+    return [c for c in declared
+            if isinstance(schema.element_class(c), kind)
+            and name in naive_superclasses(schema, c)]
+
+
+def naive_conforms(schema, sub, sup) -> bool:
+    same_kind = type(schema.element_class(sub)) is type(schema.element_class(sup))
+    return same_kind and sup in naive_superclasses(schema, sub)
+
+
+def naive_tokenize(text: str) -> list[Token]:
+    """Character-by-character reference for `gretlite.lexer.tokenize`."""
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def error(msg):
+        raise ParseError(msg, line, col)
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(Token("IDENT", word, word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            is_float = False
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+                is_float = True
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    is_float = True
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            word = text[i:j]
+            value = float(word) if is_float else int(word)
+            tokens.append(Token("NUMBER", word, value, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            out = []
+            while True:
+                if j >= n:
+                    error("unterminated string literal")
+                ch = text[j]
+                if ch == '"':
+                    j += 1
+                    break
+                if ch == "\n":
+                    error("unterminated string literal")
+                if ch == "\\":
+                    if j + 1 >= n or text[j + 1] not in _STRING_ESCAPES:
+                        error("invalid string escape")
+                    out.append(_STRING_ESCAPES[text[j + 1]])
+                    j += 2
+                    continue
+                out.append(ch)
+                j += 1
+            tokens.append(
+                Token("STRING", text[i:j], "".join(out), start_line, start_col)
+            )
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token("SYMBOL", sym, sym, start_line, start_col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            error(f"unexpected character {c!r}")
+    tokens.append(Token("EOF", "", None, line, col))
+    return tokens

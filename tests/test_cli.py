@@ -1,4 +1,8 @@
+import os
 import shutil
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +126,62 @@ def test_failed_transform_leaves_no_output(workdir, capsys):
                  "--out", str(out)])
     assert code == 1
     assert not out.exists()
+    good = str(workdir / "01-create-greeting.grt")
+    code = main(["transform", good, str(workdir / "hello.gls"),
+                 "--out", str(out),
+                 "--trace", str(workdir / "missing" / "trace.txt")])
+    assert code == 1
+    assert not out.exists()
+    assert not list(workdir.glob(".gretlite-*"))
+
+
+def test_transform_outputs_get_umask_permissions(workdir):
+    old_umask = os.umask(0o027)
+    try:
+        code = main(["transform", str(workdir / "01-create-greeting.grt"),
+                     str(workdir / "hello.gls"), "--out",
+                     str(workdir / "out.glg"), "--dot",
+                     str(workdir / "out.dot")])
+    finally:
+        os.umask(old_umask)
+    assert code == 0
+    for name in ("out.glg", "out.dot"):
+        assert stat.S_IMODE((workdir / name).stat().st_mode) == 0o640
+
+
+def test_non_decimal_digit_is_a_user_error(workdir, capsys):
+    bad = workdir / "bad.grq"
+    bad.write_text("count(V{Node}) + \u00b2", encoding="utf-8")
+    code = main(["query", str(workdir / "graph1.gls"),
+                 str(workdir / "sample1.glg"), str(bad)])
+    assert code == 1
+    assert "unexpected character '\u00b2' (line 1, column 18)" in (
+        capsys.readouterr().err)
+
+
+def test_trace_clash_report_ignores_hash_seed(tmp_path):
+    parents = ["Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta"]
+    (tmp_path / "s.gls").write_text(
+        "schema s;\n"
+        + "".join(f"vertexclass {p};\n" for p in parents)
+        + f"vertexclass Child : {', '.join(parents)};\n", encoding="utf-8")
+    (tmp_path / "t.grt").write_text(
+        "transformation T;\n"
+        + "".join(f"CreateVertices {c} <== set(1);\n"
+                  for c in parents + ["Child"]), encoding="utf-8")
+    errors = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-m", "gretlite.cli", "transform",
+             str(tmp_path / "t.grt"), str(tmp_path / "s.gls"),
+             "--out", str(tmp_path / "out.glg")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 1
+        errors.append(run.stderr)
+    assert errors[0] == errors[1]
+    assert "visible via class 'Alpha'" in errors[0]
 
 
 def test_corpus_all_pass(capsys):

@@ -449,6 +449,18 @@ class TestTraceability:
         with pytest.raises(TransformError, match="unknown class 'Nope'"):
             execute(s, target_schema=hello_ext_schema)
 
+    def test_held_view_is_unchanged_by_register(self, hello_ext_schema):
+        g = Graph(hello_ext_schema)
+        trace = TraceabilityMap(hello_ext_schema)
+        first, second = (g.create_vertex("Person") for _ in range(2))
+        trace.register("Person", 1, first)
+        img, arch = trace.img_value("Person"), trace.arch_value("Person")
+        assert trace.img_value("Person") is img
+        trace.register("Person", 2, second)
+        assert img.keys() == [1] and arch.keys() == [first]
+        assert trace.img_value("Person").keys() == [1, 2]
+        assert trace.arch_value("Person").get(second) == 2
+
 
 def test_reverse_involution_on_random_fixtures(graph1_schema):
     rng = random.Random(11)

@@ -333,3 +333,74 @@ def test_random_op_sequences_keep_invariants(script):
             g.schema.edge_class(e.class_name).from_class)
         assert e.end.is_instance_of(
             g.schema.edge_class(e.class_name).to_class)
+
+
+@st.composite
+def random_schemas(draw):
+    """Vertex and edge classes, interleaved, each with any subset of the
+    earlier classes of its kind as supertypes."""
+    s = Schema("r")
+    s.define_vertex_class("V0")
+    names = {"vertex": ["V0"], "edge": []}
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["vertex", "edge"]))
+        sups = draw(st.lists(st.sampled_from(names[kind]), unique=True)
+                    if names[kind] else st.just([]))
+        name = f"{kind[0].upper()}{i + 1}"
+        if kind == "vertex":
+            s.define_vertex_class(name, supertypes=sups)
+        else:
+            s.define_edge_class(name, "V0", "V0", supertypes=sups)
+        names[kind].append(name)
+    return s, names["vertex"] + names["edge"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_schemas())
+def test_schema_closures_match_naive_recursion(drawn):
+    s, names = drawn
+    for name in names:
+        assert s.superclasses(name) == oracles.naive_superclasses(s, name)
+        assert list(s.subclasses(name)) == oracles.naive_subclasses(s, name)
+        for other in names:
+            assert s.conforms(name, other) == oracles.naive_conforms(
+                s, name, other)
+
+
+def test_closure_lookups_reject_unknown_classes():
+    s = make_schema()
+    for call in (lambda: s.superclasses("Nope"), lambda: s.subclasses("Nope"),
+                 lambda: s.conforms("Nope", "Node"),
+                 lambda: s.conforms("Node", "Nope")):
+        with pytest.raises(SchemaError, match="unknown class 'Nope'"):
+            call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3)),
+                max_size=30))
+def test_delete_edge_keeps_incidence_order(script):
+    """Deletes leave the other incidences in creation order, loops too."""
+    s = Schema("t")
+    s.define_vertex_class("A")
+    s.define_edge_class("L", "A", "A")
+    g = Graph(s)
+    vs = [g.create_vertex("A") for _ in range(4)]
+    expected = {id(v): [] for v in vs}
+    edges = []
+    for create, a, b in script:
+        if create:
+            e = g.create_edge("L", vs[a], vs[b])
+            edges.append(e)
+            expected[id(vs[a])].append(("out", e))
+            expected[id(vs[b])].append(("in", e))
+        elif edges:
+            e = edges.pop(a % len(edges))
+            g.delete_edge(e)
+            for v in {id(e.start): e.start, id(e.end): e.end}.values():
+                expected[id(v)] = [x for x in expected[id(v)] if x[1] is not e]
+        for v in vs:
+            assert v.incidences() == expected[id(v)]
+            assert v.incidences("in") == [
+                x for x in expected[id(v)] if x[0] == "in"]
+
