@@ -33,8 +33,10 @@ def _read(path: str) -> str:
 def _write_all(outputs: list[tuple[str, str]]):
     """Write each (path, text): stage every file beside its target, then
     rename them all into place, so a failure while staging leaves no
-    output written and no partial file."""
+    output written and no partial file.  An error names the path it was
+    writing, not its staging file."""
     staged: list[tuple[str, str]] = []
+    path = None
     try:
         for path, text in outputs:
             directory = os.path.dirname(os.path.abspath(path))
@@ -46,11 +48,12 @@ def _write_all(outputs: list[tuple[str, str]]):
                 handle.write(text)
         for tmp, path in staged:
             os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        raise
 
 
 def cmd_query(args) -> int:

@@ -1,4 +1,22 @@
-"""Tree-walking evaluator for the query language.
+"""Evaluator for the query language.
+
+Expressions are evaluated by walking the tree, except comprehensions,
+which follow a plan (`gretlite.query.planner`), built once per node:
+
+* each conjunct of the `with` clause is checked right after the level that
+  binds the last variable it mentions, so a partial row is dropped at its
+  first conjunct that is not `true` (conjuncts over no variable are checked
+  once, before the loops);
+* an equality between the newest variable and earlier ones is a hash join
+  on `value_key` over the level's domain, whose buckets keep domain order;
+* subexpressions over no comprehension variable are evaluated at most once
+  per `evaluate` call, on first use.
+
+A row is kept only if every conjunct is `true`, and rows come out in the
+order of the nested loops, so a plan changes what is computed, not the
+result.  Because conjuncts are checked in plan order, a `with` clause that
+raises an error on some binding may raise it on another binding than
+left-to-right evaluation would, or not at all.
 
 Evaluation is a pure function of (expression, graph, bindings): repeated
 runs yield structurally equal values with identical iteration orders,
@@ -12,6 +30,7 @@ import math
 from gretlite import model
 from gretlite.errors import GraphError, QueryError, SchemaError
 from gretlite.query import nodes as n
+from gretlite.query import planner
 from gretlite.query.parser import parse_query
 from gretlite.values import (
     UNDEFINED,
@@ -20,9 +39,14 @@ from gretlite.values import (
     is_collection,
     to_text,
     value_equal,
+    value_key,
 )
 
 _MISSING = object()
+_COMPARISONS = frozenset(("=", "<>", "<", "<=", ">", ">="))
+_LOGIC = frozenset(("and", "or"))
+# the incidence direction a path step follows; `both` follows either
+_STEP_WANT = {"out": "out", "agg": "out", "in": "in"}
 
 
 class Bindings:
@@ -106,56 +130,76 @@ def eval_path(graph: model.Graph, start: model.Vertex, steps):
         raise QueryError("path expressions start at a vertex")
     frontier = OrderedSet([start])
     for step in steps:
-        allowed = _resolve_step_classes(graph.schema, step)
+        allowed = _step_classes(graph.schema, step)
+        want = _STEP_WANT.get(step.direction)
         out = OrderedSet()
         for v in frontier:
             for direction, edge in v.incidences("both"):
-                target = _step_target(graph.schema, step, allowed,
-                                      direction, edge)
-                if target is not None:
-                    out.add(target)
+                if allowed is not None and edge.class_name not in allowed:
+                    continue
+                if direction == "out":
+                    if want != "in":
+                        out.add(edge.end)
+                elif want != "out":
+                    out.add(edge.start)
         frontier = out
     return frontier
 
 
-def _resolve_step_classes(schema, step: n.PathStep):
-    if not step.classes:
-        return None
-    allowed: set[str] = set()
-    for spec in step.classes:
+def _class_names(schema: model.Schema, node, resolve) -> frozenset:
+    """The class names `node`'s class specs allow, resolved once per node
+    and schema (the memo is dropped when the schema defines a class)."""
+    memo = node.resolved
+    if memo is not None and memo[0] is schema and memo[1] == schema.class_count:
+        return memo[2]
+    names = resolve()
+    object.__setattr__(node, "resolved", (schema, schema.class_count, names))
+    return names
+
+
+def _spec_names(schema: model.Schema, specs, lookup,
+                aggregations_only=False) -> frozenset:
+    names: set[str] = set()
+    for spec in specs:
         try:
-            cls = schema.edge_class(spec.name)
+            cls = lookup(spec.name)
         except SchemaError as exc:
             raise QueryError(str(exc)) from None
-        if step.direction == "agg" and not cls.is_aggregation:
+        if aggregations_only and not cls.is_aggregation:
             raise QueryError(
                 f"'<>--' traverses aggregation edge classes only, and "
                 f"'{spec.name}' is not one"
             )
         if spec.exact:
-            allowed.add(spec.name)
+            names.add(spec.name)
         else:
-            allowed.update(schema.subclasses(spec.name))
-    return allowed
+            names.update(schema.subclasses(spec.name))
+    return frozenset(names)
 
 
-def _step_target(schema, step, allowed, direction, edge):
-    if allowed is not None:
-        if edge.class_name not in allowed:
-            return None
-    elif step.direction == "agg":
-        if not schema.edge_class(edge.class_name).is_aggregation:
-            return None
-    if step.direction in ("out", "agg"):
-        return edge.end if direction == "out" else None
-    if step.direction == "in":
-        return edge.start if direction == "in" else None
-    return edge.end if direction == "out" else edge.start
+def _step_classes(schema: model.Schema, step: n.PathStep):
+    """Edge classes `step` may traverse, or None for any."""
+    if step.direction != "agg" and not step.classes:
+        return None
+    return _class_names(schema, step, lambda: _resolve_step(schema, step))
+
+
+def _resolve_step(schema: model.Schema, step: n.PathStep) -> frozenset:
+    if not step.classes:  # a bare '<>--'
+        return frozenset(c.name for c in schema.edge_classes
+                         if c.is_aggregation)
+    return _spec_names(schema, step.classes, schema.edge_class,
+                       aggregations_only=step.direction == "agg")
 
 
 class Evaluator:
+    """Evaluates expressions over one graph.  One evaluator serves one
+    `evaluate` call: it keeps the values of invariant subexpressions and
+    the join indexes shared by the whole call."""
+
     def __init__(self, graph: model.Graph):
         self.graph = graph
+        self._once: dict[int, object] = {}  # by id of Invariant or Level
 
     def eval(self, node, env: Bindings):
         match node:
@@ -163,12 +207,23 @@ class Evaluator:
                 return v
             case n.VarRef(name=name):
                 return env.lookup(name)
+            case planner.Invariant(expr=expr):
+                value = self._once.get(id(node), _MISSING)
+                if value is _MISSING:
+                    value = self._once[id(node)] = self.eval(expr, env)
+                return value
+            case planner.Planned(plan=plan):
+                return self._comprehension(plan, env)
             case n.DollarRef():
                 return env.dollar()
             case n.ElementSet():
                 return self._element_set(node)
             case n.Comprehension():
-                return self._comprehension(node, env)
+                plan = node.plan
+                if plan is None:
+                    plan = planner.plan(node)
+                    object.__setattr__(node, "plan", plan)
+                return self._comprehension(plan, env)
             case n.PathApply(start=start, steps=steps):
                 value = self.eval(start, env)
                 if value is UNDEFINED:
@@ -210,83 +265,113 @@ class Evaluator:
 
     def _element_set(self, node: n.ElementSet):
         schema = self.graph.schema
-        want_vertices = node.kind == "V"
-        for spec in node.classes:
-            if want_vertices:
-                self._schema_guard(lambda: schema.vertex_class(spec.name))
-            else:
-                self._schema_guard(lambda: schema.edge_class(spec.name))
-        pool = self.graph.vertices if want_vertices else self.graph.edges
+        if node.kind == "V":
+            pool, lookup = self.graph.vertices, schema.vertex_class
+        else:
+            pool, lookup = self.graph.edges, schema.edge_class
         if not node.classes:
             return OrderedSet(pool)
-        out = OrderedSet()
-        for el in pool:
-            for spec in node.classes:
-                if spec.exact:
-                    hit = el.class_name == spec.name
-                else:
-                    hit = schema.conforms(el.class_name, spec.name)
-                if hit:
-                    out.add(el)
-                    break
-        return out
+        allowed = _class_names(schema, node, lambda: _spec_names(
+            schema, node.classes, lookup))
+        return OrderedSet(el for el in pool if el.class_name in allowed)
 
-    @staticmethod
-    def _schema_guard(fn):
-        try:
-            return fn()
-        except SchemaError as exc:
-            raise QueryError(str(exc)) from None
+    # -- comprehensions ----------------------------------------------------
 
-    def _comprehension(self, node: n.Comprehension, env: Bindings):
-        if node.kind == "set":
+    def _comprehension(self, plan: planner.Plan, env: Bindings):
+        kind = plan.kind
+        if kind == "set":
             result = OrderedSet()
-        elif node.kind == "map":
+        elif kind == "map":
             result = ValueMap()
         else:
             result = []
-
-        def emit(scope):
-            if node.condition is not None:
-                keep = _require_bool(self.eval(node.condition, scope),
-                                     "with-clause")
-                if keep is not True:
-                    return
-            if node.kind == "map":
-                key = self.eval(node.exprs[0], scope)
-                result.put(key, self.eval(node.value_expr, scope))
-                return
-            values = [self.eval(e, scope) for e in node.exprs]
-            row = values[0] if len(values) == 1 else tuple(values)
-            if node.kind == "set":
-                result.add(row)
+        if not self._holds(plan.pre_checks, env, plan.what):
+            return result
+        # The nested loops, one per level, as a stack of iterators:
+        # scopes[k] is the row bound before level k, rows[k] iterates
+        # level k's candidates for it.
+        levels = plan.levels
+        last = len(levels) - 1
+        pools = [None] * len(levels)  # the domain members of each level
+        indexes = [None] * len(levels)  # join indexes of those domains
+        scopes = [env] * len(levels)
+        rows = [self._candidates(levels, 0, env, pools, indexes)]
+        rows.extend([None] * last)
+        k = 0
+        while k >= 0:
+            member = next(rows[k], _MISSING)
+            if member is _MISSING:
+                k -= 1
+                continue
+            level = levels[k]
+            scope = scopes[k].child({level.name: member})
+            if not self._holds(level.checks, scope, plan.what):
+                continue
+            if k < last:
+                k += 1
+                scopes[k] = scope
+                rows[k] = self._candidates(levels, k, scope, pools, indexes)
+            elif kind == "map":
+                result.put(self.eval(plan.exprs[0], scope),
+                           self.eval(plan.value_expr, scope))
             else:
-                result.append(row)
+                values = [self.eval(e, scope) for e in plan.exprs]
+                row = values[0] if len(values) == 1 else tuple(values)
+                if kind == "set":
+                    result.add(row)
+                else:
+                    result.append(row)
+        return result
 
-        def loop_group(gi: int, scope):
-            if gi == len(node.decls):
-                emit(scope)
-                return
-            group = node.decls[gi]
-            domain = self.eval(group.domain, scope)
+    def _holds(self, checks, scope: Bindings, what: str) -> bool:
+        for check in checks:
+            value = self.eval(check, scope)
+            if value is not True:
+                _require_bool(value, what)
+                return False
+        return True
+
+    def _candidates(self, levels, k: int, scope: Bindings, pools, indexes):
+        """An iterator over the members level k may bind after `scope`."""
+        level = levels[k]
+        if level.domain is not None:  # the first name of its group
+            domain = self.eval(level.domain, scope)
             if not is_collection(domain):
                 raise QueryError(
-                    f"declaration domain of {', '.join(group.names)} "
+                    f"declaration domain of {', '.join(level.decl.names)} "
                     "must be a collection"
                 )
-            members = list(domain)
+            pool = list(domain)
+            for j in range(k, k + len(level.decl.names)):
+                pools[j] = pool
+                indexes[j] = None
+        join = level.join
+        if join is None:
+            return iter(pools[k])
+        probe = self.eval(join.probe, scope)
+        if probe is UNDEFINED:
+            return iter(())
+        if join.shared:
+            index = self._once.get(id(level))
+        else:
+            index = indexes[k]
+        if index is None:
+            index = self._join_index(level, pools[k], scope)
+            if join.shared:
+                self._once[id(level)] = index
+            else:
+                indexes[k] = index
+        return iter(index.get(value_key(probe), ()))
 
-            def loop_name(ni: int, inner):
-                if ni == len(group.names):
-                    loop_group(gi + 1, inner)
-                    return
-                for member in members:
-                    loop_name(ni + 1, inner.child({group.names[ni]: member}))
-
-            loop_name(0, scope)
-
-        loop_group(0, env)
-        return result
+    def _join_index(self, level: planner.Level, pool, scope: Bindings):
+        """The members of `pool` by the `value_key` of the join's key side,
+        each bucket in domain order; an undefined key matches nothing."""
+        index: dict = {}
+        for member in pool:
+            key = self.eval(level.join.key, scope.child({level.name: member}))
+            if key is not UNDEFINED:
+                index.setdefault(value_key(key), []).append(member)
+        return index
 
     # -- operators ---------------------------------------------------------
 
@@ -303,25 +388,41 @@ class Evaluator:
 
     def _binary(self, node: n.Binary, env: Bindings):
         op = node.op
-        if op in ("and", "or"):
-            return self._logic(op, node, env)
-        left = self.eval(node.left, env)
-        right = self.eval(node.right, env)
-        if op == "++":
-            if left is UNDEFINED or right is UNDEFINED:
-                return UNDEFINED
-            return to_text(left) + to_text(right)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return self._compare(op, left, right)
-        return self._arith(op, left, right)
+        if op in _COMPARISONS:
+            return self._compare(op, self.eval(node.left, env),
+                                 self.eval(node.right, env))
+        # A left-associative chain such as `a + b - c` or `a and b or c`
+        # is a left spine of one operator family; walk it from the
+        # leftmost operand up instead of recursing down it.
+        logic = op in _LOGIC
+        chain = []
+        while (isinstance(node, n.Binary) and node.op not in _COMPARISONS
+               and (node.op in _LOGIC) == logic):
+            chain.append(node)
+            node = node.left
+        value = self.eval(node, env)
+        if logic:
+            value = _require_bool(value, f"'{chain[-1].op}' operand")
+        for link in reversed(chain):
+            if logic:
+                value = self._logic(link, value, env)
+                continue
+            right = self.eval(link.right, env)
+            if link.op != "++":
+                value = self._arith(link.op, value, right)
+            elif value is UNDEFINED or right is UNDEFINED:
+                value = UNDEFINED
+            else:
+                value = to_text(value) + to_text(right)
+        return value
 
-    def _logic(self, op: str, node: n.Binary, env: Bindings):
-        left = _require_bool(self.eval(node.left, env), f"'{op}' operand")
+    def _logic(self, link: n.Binary, left, env: Bindings):
+        op = link.op
         if op == "and" and left is False:
             return False
         if op == "or" and left is True:
             return True
-        right = _require_bool(self.eval(node.right, env), f"'{op}' operand")
+        right = _require_bool(self.eval(link.right, env), f"'{op}' operand")
         if right is UNDEFINED or left is UNDEFINED:
             # three-valued logic: a definite right answer may still decide
             if op == "and":
@@ -396,22 +497,22 @@ class Evaluator:
         if node.classes is not None and name != "degree":
             raise QueryError(f"function '{name}' takes no class qualifier")
         if name == "degree":
-            return self._degree(node.classes, args)
+            return self._degree(node, args)
         fn = _BUILTINS.get(name)
         if fn is None:
             raise QueryError(f"unknown function '{name}'")
         return fn(self, args)
 
-    def _degree(self, class_specs, args):
+    def _degree(self, node: n.Call, args):
         _arity("degree", args, 1)
         v = args[0]
         if not isinstance(v, model.Vertex):
             raise QueryError("degree expects a vertex")
         allowed = None
-        if class_specs:
-            allowed = _resolve_step_classes(
-                self.graph.schema, n.PathStep("both", tuple(class_specs))
-            )
+        if node.classes:
+            schema = self.graph.schema
+            allowed = _class_names(schema, node, lambda: _spec_names(
+                schema, node.classes, schema.edge_class))
         count = 0
         for _, edge in v.incidences("both"):
             if allowed is None or edge.class_name in allowed:

@@ -1,4 +1,9 @@
-"""AST node types for the query language."""
+"""AST node types for the query language.
+
+A few nodes carry a memo that evaluation fills in: the class names a class
+spec list resolves to (per schema), and a comprehension's plan.  Memos take
+no part in equality, hashing or repr.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +16,15 @@ class ClassSpec:
     exact: bool = False  # True for T! (no subclasses)
 
 
+def _memo():
+    return field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class PathStep:
     direction: str  # "out" -->, "in" <--, "both" <->, "agg" <>--
     classes: tuple[ClassSpec, ...] = ()
+    resolved: object = _memo()  # (schema, class count, allowed names)
 
 
 @dataclass(frozen=True)
@@ -36,6 +46,7 @@ class DollarRef:
 class ElementSet:
     kind: str  # "V" or "E"
     classes: tuple[ClassSpec, ...] = ()  # empty = all
+    resolved: object = _memo()  # (schema, class count, allowed names)
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,7 @@ class Comprehension:
     kind: str  # "list", "set", "map"
     exprs: tuple = ()  # report projections; for "map" the key expression
     value_expr: object | None = None  # mapped value for "map"
+    plan: object = _memo()  # gretlite.query.planner.Plan
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,7 @@ class Call:
     name: str
     classes: tuple[ClassSpec, ...] | None
     args: tuple
+    resolved: object = _memo()  # degree{...}: as for PathStep
 
 
 @dataclass(frozen=True)
@@ -101,3 +114,37 @@ class AttrAccess:
 class Index:
     target: object
     index: object
+
+
+def children(node) -> tuple:
+    """The subexpressions of `node`, in evaluation order.
+
+    For a comprehension: each domain, the condition, the projections and
+    the mapped value; walkers that track scope handle it themselves.
+    """
+    match node:
+        case Binary():
+            return (node.left, node.right)
+        case Call():
+            return node.args
+        case PathApply():
+            return (node.start,)
+        case AttrAccess():
+            return (node.target,)
+        case Unary():
+            return (node.operand,)
+        case Conditional():
+            return (node.condition, node.then_expr, node.else_expr)
+        case Index():
+            return (node.target, node.index)
+        case MapLit():
+            return tuple(part for entry in node.entries for part in entry)
+        case Comprehension():
+            parts = [g.domain for g in node.decls]
+            if node.condition is not None:
+                parts.append(node.condition)
+            parts.extend(node.exprs)
+            if node.value_expr is not None:
+                parts.append(node.value_expr)
+            return tuple(parts)
+    return ()

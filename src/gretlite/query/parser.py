@@ -5,6 +5,12 @@ method per precedence level (listed above `parse_expression`), tokens come
 from `gretlite.lexer`, and the AST node types are in `gretlite.query.nodes`.
 The parser works on a shared TokenStream so transformation scripts can
 embed queries directly.
+
+Nesting is bounded: every nested expression, prefix operator and postfix
+operator counts one level, and an expression deeper than MAX_DEPTH is a
+ParseError at the token that crosses the limit.  Only left-associative
+binary chains (`a + b + c`, `a and b and c`) grow without nesting, and
+everything that walks an AST walks those chains without recursion.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ _REPORT_KINDS = {
     "reportMap": "map",
 }
 
+# Deep enough for any real query and shallow enough that parsing and
+# evaluating the deepest one stays far inside Python's recursion limit.
+MAX_DEPTH = 50
+
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 _PATH_ARROWS = {"-->": "out", "<--": "in", "<->": "both", "<>--": "agg"}
 
@@ -33,11 +43,23 @@ _PATH_ARROWS = {"-->": "out", "<--": "in", "<->": "both", "<>--": "agg"}
 class QueryParser:
     def __init__(self, stream: TokenStream):
         self.ts = stream
+        self._depth = 0
+
+    def _nest(self):
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            self.ts.error(f"expression nested more than {MAX_DEPTH} levels deep")
 
     # precedence, loosest first:
     # conditional > or > and > not > comparison > additive > mult > unary > postfix
 
     def parse_expression(self):
+        self._nest()
+        expr = self._conditional()
+        self._depth -= 1
+        return expr
+
+    def _conditional(self):
         cond = self._or()
         if self.ts.at_symbol("?"):
             self.ts.next()
@@ -64,7 +86,10 @@ class QueryParser:
     def _not(self):
         if self.ts.at_ident("not"):
             self.ts.next()
-            return n.Unary("not", self._not())
+            self._nest()
+            node = n.Unary("not", self._not())
+            self._depth -= 1
+            return node
         return self._comparison()
 
     def _comparison(self):
@@ -91,12 +116,18 @@ class QueryParser:
     def _unary(self):
         if self.ts.at_symbol("-"):
             self.ts.next()
-            return n.Unary("neg", self._unary())
+            self._nest()
+            node = n.Unary("neg", self._unary())
+            self._depth -= 1
+            return node
         return self._postfix()
 
     def _postfix(self):
         node = self._primary()
+        depth = self._depth
         while True:
+            if self.ts.at_symbol(".", "[", *_PATH_ARROWS):
+                self._nest()
             if self.ts.at_symbol("."):
                 self.ts.next()
                 name = self.ts.expect_ident().text
@@ -116,6 +147,7 @@ class QueryParser:
                     steps.append(n.PathStep(direction, classes))
                 node = n.PathApply(node, tuple(steps))
             else:
+                self._depth = depth
                 return node
 
     def _class_list(self) -> tuple[n.ClassSpec, ...]:
@@ -263,54 +295,29 @@ class QueryParser:
 
 
 def check_bindings(expr, is_external=None):
-    """Static scoping check: flag variable references bound by nothing."""
+    """Static scoping check: flag variable references bound by nothing.
 
-    def ok(name: str) -> bool:
-        return is_external(name) if is_external else False
-
-    def walk(node, scope: frozenset):
-        match node:
-            case n.VarRef(name=name):
-                if name not in scope and not ok(name):
-                    raise ParseError(f"unbound variable '{name}'")
-            case n.Comprehension():
-                inner = scope
-                for group in node.decls:
-                    walk(group.domain, inner)
-                    inner = inner | frozenset(group.names)
-                if node.condition is not None:
-                    walk(node.condition, inner)
-                for e in node.exprs:
-                    walk(e, inner)
-                if node.value_expr is not None:
-                    walk(node.value_expr, inner)
-            case n.PathApply(start=start):
-                walk(start, scope)
-            case n.Call(args=args):
-                for a in args:
-                    walk(a, scope)
-            case n.MapLit(entries=entries):
-                for k, v in entries:
-                    walk(k, scope)
-                    walk(v, scope)
-            case n.Unary(operand=operand):
-                walk(operand, scope)
-            case n.Binary(left=left, right=right):
-                walk(left, scope)
-                walk(right, scope)
-            case n.Conditional():
-                walk(node.condition, scope)
-                walk(node.then_expr, scope)
-                walk(node.else_expr, scope)
-            case n.AttrAccess(target=target):
-                walk(target, scope)
-            case n.Index(target=target, index=index):
-                walk(target, scope)
-                walk(index, scope)
-            case _:
-                pass
-
-    walk(expr, frozenset())
+    Walks the tree in source order with an explicit stack, so the first
+    unbound reference is the one reported and long operator chains cannot
+    exhaust the interpreter's stack.
+    """
+    stack = [(expr, frozenset())]
+    while stack:
+        node, scope = stack.pop()
+        parts = n.children(node)
+        if isinstance(node, n.VarRef):
+            name = node.name
+            if name not in scope and not (is_external and is_external(name)):
+                raise ParseError(f"unbound variable '{name}'")
+        elif isinstance(node, n.Comprehension):
+            scoped = []
+            for group, domain in zip(node.decls, parts):
+                scoped.append((domain, scope))
+                scope = scope | frozenset(group.names)
+            scoped.extend((part, scope) for part in parts[len(node.decls):])
+            stack.extend(reversed(scoped))
+        else:
+            stack.extend((part, scope) for part in reversed(parts))
 
 
 def _trace_external(name: str) -> bool:

@@ -20,6 +20,7 @@ from gretlite.values import (
     ValueMap,
     is_collection,
     render_value,
+    value_key,
 )
 
 DEFAULT_ROUND_LIMIT = 10_000
@@ -44,16 +45,18 @@ class TraceabilityMap:
 
     def __init__(self, schema: model.Schema):
         self._schema = schema
-        self._maps: dict[str, ValueMap] = {}
+        # class -> value_key(archetype) -> (archetype, element)
+        self._maps: dict[str, dict] = {}
         # (class, inverse) -> img (False) or arch (True) union view
         self._views: dict[tuple[str, bool], ValueMap] = {}
 
     def register(self, class_name: str, archetype, element: model.Element):
+        key = value_key(archetype)
         shared = self._schema.superclasses(class_name)
         clashes = [
             cls for cls, entries in self._maps.items()
-            if not shared.isdisjoint(self._schema.superclasses(cls))
-            and archetype in entries
+            if key in entries
+            and not shared.isdisjoint(self._schema.superclasses(cls))
         ]
         if clashes:
             first = next(c for c in self.classes() if c in clashes)
@@ -61,14 +64,16 @@ class TraceabilityMap:
                 f"archetype {render_value(archetype)} already has an "
                 f"image visible via class '{first}'"
             )
-        self._maps.setdefault(class_name, ValueMap()).put(archetype, element)
+        self._maps.setdefault(class_name, {})[key] = (archetype, element)
         self._views = {}
 
     def image(self, class_name: str, archetype) -> model.Element | None:
+        key = value_key(archetype)
         for cls in self._schema.subclasses(class_name):
             entries = self._maps.get(cls)
-            if entries is not None and archetype in entries:
-                return entries.get(archetype)
+            hit = entries.get(key) if entries is not None else None
+            if hit is not None:
+                return hit[1]
         return None
 
     def img_value(self, class_name: str) -> ValueMap:
@@ -86,7 +91,7 @@ class TraceabilityMap:
             for cls in self._schema.subclasses(class_name):
                 entries = self._maps.get(cls)
                 if entries is not None:
-                    for arch, el in entries.items():
+                    for arch, el in entries.values():
                         if inverse:
                             view.put(el, arch)
                         else:
@@ -101,7 +106,7 @@ class TraceabilityMap:
 
     def entries(self, class_name: str) -> list[tuple[object, model.Element]]:
         entries = self._maps.get(class_name)
-        return entries.items() if entries is not None else []
+        return list(entries.values()) if entries is not None else []
 
 
 @dataclass

@@ -127,12 +127,15 @@ def test_failed_transform_leaves_no_output(workdir, capsys):
     assert code == 1
     assert not out.exists()
     good = str(workdir / "01-create-greeting.grt")
+    trace = str(workdir / "missing" / "trace.txt")
     code = main(["transform", good, str(workdir / "hello.gls"),
-                 "--out", str(out),
-                 "--trace", str(workdir / "missing" / "trace.txt")])
+                 "--out", str(out), "--trace", trace])
     assert code == 1
     assert not out.exists()
     assert not list(workdir.glob(".gretlite-*"))
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{trace}'" in err
+    assert ".gretlite-" not in err
 
 
 def test_transform_outputs_get_umask_permissions(workdir):
@@ -219,3 +222,83 @@ def test_corrupted_golden_fails_with_diff(tmp_path):
     assert not by_number[4].passed
     assert "line 1" in by_number[4].failure
     assert all(r.passed for n, r in by_number.items() if n != 4)
+
+
+def _query(workdir, text):
+    q = workdir / "q.grq"
+    q.write_text(text, encoding="utf-8")
+    return main(["query", str(workdir / "graph1.gls"),
+                 str(workdir / "sample1.glg"), str(q)])
+
+
+def test_deeply_nested_query_is_a_parse_error(workdir, capsys):
+    assert _query(workdir, "(" * 3000 + "1" + ")" * 3000) == 1
+    err = capsys.readouterr().err
+    assert "nested more than 50 levels deep" in err
+    assert "(line 1, column 51)" in err
+
+
+def test_long_operator_chain_evaluates(workdir, capsys):
+    assert _query(workdir, " + ".join(["1"] * 5000)) == 0
+    assert capsys.readouterr().out == "5000\n"
+
+
+def test_long_with_clause_evaluates(workdir, capsys):
+    conjuncts = " and ".join(["n = n"] * 3000)
+    assert _query(workdir, f"from n : V{{Node}} with {conjuncts} "
+                           "report n end") == 0
+    assert capsys.readouterr().out == "[v2, v3, v4, v5, v6, v7]\n"
+
+
+_DUMP = """
+import sys
+from pathlib import Path
+
+from gretlite import corpus
+from gretlite.cli import main
+from gretlite.formats import load_graph, load_schema
+from gretlite.query import evaluate, parse_query
+from gretlite.values import OrderedSet, ValueMap, render_value
+
+
+def in_order(v):
+    if isinstance(v, ValueMap):
+        return "{" + ", ".join(f"{in_order(k)} -> {in_order(x)}"
+                               for k, x in v.items()) + "}"
+    if isinstance(v, (OrderedSet, list, tuple)):
+        return "[" + ", ".join(in_order(x) for x in v) + "]"
+    return render_value(v)
+
+
+out = Path(sys.argv[1])
+for result in corpus.run_corpus():
+    for name, text in result.outputs.items():
+        (out / name).write_text(text, encoding="utf-8")
+for spec in corpus.TASKS:
+    if spec.query is not None and spec.source is not None:
+        schema = load_schema(corpus.read_text(spec.schema))
+        graph = load_graph(corpus.read_text(spec.source), schema)
+        value = evaluate(parse_query(corpus.read_text(spec.query)), graph)
+        (out / f"{spec.number:02d}-rows.txt").write_text(in_order(value))
+sys.exit(main(["corpus"]))
+"""
+
+
+def test_corpus_outputs_ignore_hash_seed(tmp_path):
+    """Every corpus output, and every query result in iteration order,
+    is the same byte for byte under two hash seeds."""
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", _DUMP, str(out)],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "14/14 tasks passed" in run.stdout
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((run.stdout, files))
+    assert len(outputs[0][1]) == 22
+    assert outputs[0] == outputs[1]
