@@ -98,11 +98,6 @@ class Schema:
     def edge_classes(self) -> list[EdgeClass]:
         return [c for c in self._classes.values() if isinstance(c, EdgeClass)]
 
-    @property
-    def class_count(self) -> int:
-        """How many classes are defined; it only grows."""
-        return len(self._classes)
-
     def has_class(self, name: str) -> bool:
         return name in self._classes
 

@@ -8,9 +8,13 @@ which follow a plan (`gretlite.query.planner`), built once per node:
   first conjunct that is not `true` (conjuncts over no variable are checked
   once, before the loops);
 * an equality between the newest variable and earlier ones is a hash join
-  on `value_key` over the level's domain, whose buckets keep domain order;
+  on `value_key` over the level's domain, built once per `evaluate` call,
+  whose buckets keep domain order;
 * subexpressions over no comprehension variable are evaluated at most once
   per `evaluate` call, on first use.
+
+The class specs of path steps and `degree{...}` resolve to sets of class
+names once per node and `evaluate` call.
 
 A row is kept only if every conjunct is `true`, and rows come out in the
 order of the nested loops, so a plan changes what is computed, not the
@@ -119,18 +123,22 @@ def run_query(text: str, graph: model.Graph, bindings=None, **parse_kwargs):
     return evaluate(parse_query(text, **parse_kwargs), graph, bindings)
 
 
-def eval_path(graph: model.Graph, start: model.Vertex, steps):
+def eval_path(graph: model.Graph, start: model.Vertex, steps,
+              classes=None):
     """Vertices reachable from `start` by applying each step in sequence.
 
     Forward steps follow start-to-end, backward steps end-to-start,
     `both` either way; aggregation steps traverse aggregation-flagged
-    edge classes in forward direction only.
+    edge classes in forward direction only.  `classes` holds, per step,
+    the edge class names it may traverse (None for any), as
+    `_step_classes` resolves them; it is resolved here when not given.
     """
     if not isinstance(start, model.Vertex):
         raise QueryError("path expressions start at a vertex")
+    if classes is None:
+        classes = _step_classes(graph.schema, steps)
     frontier = OrderedSet([start])
-    for step in steps:
-        allowed = _step_classes(graph.schema, step)
+    for step, allowed in zip(steps, classes):
         want = _STEP_WANT.get(step.direction)
         out = OrderedSet()
         for v in frontier:
@@ -144,17 +152,6 @@ def eval_path(graph: model.Graph, start: model.Vertex, steps):
                     out.add(edge.start)
         frontier = out
     return frontier
-
-
-def _class_names(schema: model.Schema, node, resolve) -> frozenset:
-    """The class names `node`'s class specs allow, resolved once per node
-    and schema (the memo is dropped when the schema defines a class)."""
-    memo = node.resolved
-    if memo is not None and memo[0] is schema and memo[1] == schema.class_count:
-        return memo[2]
-    names = resolve()
-    object.__setattr__(node, "resolved", (schema, schema.class_count, names))
-    return names
 
 
 def _spec_names(schema: model.Schema, specs, lookup,
@@ -177,29 +174,32 @@ def _spec_names(schema: model.Schema, specs, lookup,
     return frozenset(names)
 
 
-def _step_classes(schema: model.Schema, step: n.PathStep):
-    """Edge classes `step` may traverse, or None for any."""
-    if step.direction != "agg" and not step.classes:
-        return None
-    return _class_names(schema, step, lambda: _resolve_step(schema, step))
-
-
-def _resolve_step(schema: model.Schema, step: n.PathStep) -> frozenset:
-    if not step.classes:  # a bare '<>--'
-        return frozenset(c.name for c in schema.edge_classes
-                         if c.is_aggregation)
-    return _spec_names(schema, step.classes, schema.edge_class,
-                       aggregations_only=step.direction == "agg")
+def _step_classes(schema: model.Schema, steps) -> tuple:
+    """Per step, the edge class names it may traverse, or None for any."""
+    out = []
+    for step in steps:
+        if step.direction != "agg" and not step.classes:
+            out.append(None)
+        elif not step.classes:  # a bare '<>--'
+            out.append(frozenset(c.name for c in schema.edge_classes
+                                 if c.is_aggregation))
+        else:
+            out.append(_spec_names(schema, step.classes, schema.edge_class,
+                                   aggregations_only=step.direction == "agg"))
+    return tuple(out)
 
 
 class Evaluator:
     """Evaluates expressions over one graph.  One evaluator serves one
-    `evaluate` call: it keeps the values of invariant subexpressions and
-    the join indexes shared by the whole call."""
+    `evaluate` call: it keeps what the whole call shares, the values of
+    invariant subexpressions, the join indexes and resolved class specs.
+    The schema does not change during a call."""
 
     def __init__(self, graph: model.Graph):
         self.graph = graph
-        self._once: dict[int, object] = {}  # by id of Invariant or Level
+        # by id of an Invariant, a Level (its join index), a PathApply or
+        # a degree Call (their class names)
+        self._once: dict[int, object] = {}
 
     def eval(self, node, env: Bindings):
         match node:
@@ -228,7 +228,11 @@ class Evaluator:
                 value = self.eval(start, env)
                 if value is UNDEFINED:
                     return UNDEFINED
-                return eval_path(self.graph, value, steps)
+                classes = self._once.get(id(node))
+                if classes is None:
+                    classes = self._once[id(node)] = _step_classes(
+                        self.graph.schema, steps)
+                return eval_path(self.graph, value, steps, classes)
             case n.Call():
                 return self._call(node, env)
             case n.MapLit(entries=entries):
@@ -271,8 +275,7 @@ class Evaluator:
             pool, lookup = self.graph.edges, schema.edge_class
         if not node.classes:
             return OrderedSet(pool)
-        allowed = _class_names(schema, node, lambda: _spec_names(
-            schema, node.classes, lookup))
+        allowed = _spec_names(schema, node.classes, lookup)
         return OrderedSet(el for el in pool if el.class_name in allowed)
 
     # -- comprehensions ----------------------------------------------------
@@ -292,10 +295,9 @@ class Evaluator:
         # level k's candidates for it.
         levels = plan.levels
         last = len(levels) - 1
-        pools = [None] * len(levels)  # the domain members of each level
-        indexes = [None] * len(levels)  # join indexes of those domains
+        pools = [None] * len(levels)  # the domain of each level
         scopes = [env] * len(levels)
-        rows = [self._candidates(levels, 0, env, pools, indexes)]
+        rows = [self._candidates(levels, 0, env, pools)]
         rows.extend([None] * last)
         k = 0
         while k >= 0:
@@ -310,7 +312,7 @@ class Evaluator:
             if k < last:
                 k += 1
                 scopes[k] = scope
-                rows[k] = self._candidates(levels, k, scope, pools, indexes)
+                rows[k] = self._candidates(levels, k, scope, pools)
             elif kind == "map":
                 result.put(self.eval(plan.exprs[0], scope),
                            self.eval(plan.value_expr, scope))
@@ -331,7 +333,7 @@ class Evaluator:
                 return False
         return True
 
-    def _candidates(self, levels, k: int, scope: Bindings, pools, indexes):
+    def _candidates(self, levels, k: int, scope: Bindings, pools):
         """An iterator over the members level k may bind after `scope`."""
         level = levels[k]
         if level.domain is not None:  # the first name of its group
@@ -341,26 +343,20 @@ class Evaluator:
                     f"declaration domain of {', '.join(level.decl.names)} "
                     "must be a collection"
                 )
-            pool = list(domain)
-            for j in range(k, k + len(level.decl.names)):
-                pools[j] = pool
-                indexes[j] = None
+            # collections are never changed once built, and an invariant
+            # domain is one value for the whole call: share it, uncopied
+            pools[k:k + len(level.decl.names)] = [domain] * len(
+                level.decl.names)
         join = level.join
         if join is None:
             return iter(pools[k])
         probe = self.eval(join.probe, scope)
         if probe is UNDEFINED:
             return iter(())
-        if join.shared:
-            index = self._once.get(id(level))
-        else:
-            index = indexes[k]
+        index = self._once.get(id(level))
         if index is None:
-            index = self._join_index(level, pools[k], scope)
-            if join.shared:
-                self._once[id(level)] = index
-            else:
-                indexes[k] = index
+            index = self._once[id(level)] = self._join_index(
+                level, pools[k], scope)
         return iter(index.get(value_key(probe), ()))
 
     def _join_index(self, level: planner.Level, pool, scope: Bindings):
@@ -510,9 +506,11 @@ class Evaluator:
             raise QueryError("degree expects a vertex")
         allowed = None
         if node.classes:
-            schema = self.graph.schema
-            allowed = _class_names(schema, node, lambda: _spec_names(
-                schema, node.classes, schema.edge_class))
+            allowed = self._once.get(id(node))
+            if allowed is None:
+                schema = self.graph.schema
+                allowed = self._once[id(node)] = _spec_names(
+                    schema, node.classes, schema.edge_class)
         count = 0
         for _, edge in v.incidences("both"):
             if allowed is None or edge.class_name in allowed:

@@ -1,8 +1,7 @@
 """AST node types for the query language.
 
-A few nodes carry a memo that evaluation fills in: the class names a class
-spec list resolves to (per schema), and a comprehension's plan.  Memos take
-no part in equality, hashing or repr.
+A comprehension carries a memo that evaluation fills in, its plan; it
+takes no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -16,15 +15,10 @@ class ClassSpec:
     exact: bool = False  # True for T! (no subclasses)
 
 
-def _memo():
-    return field(default=None, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class PathStep:
     direction: str  # "out" -->, "in" <--, "both" <->, "agg" <>--
     classes: tuple[ClassSpec, ...] = ()
-    resolved: object = _memo()  # (schema, class count, allowed names)
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,6 @@ class DollarRef:
 class ElementSet:
     kind: str  # "V" or "E"
     classes: tuple[ClassSpec, ...] = ()  # empty = all
-    resolved: object = _memo()  # (schema, class count, allowed names)
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,8 @@ class Comprehension:
     kind: str  # "list", "set", "map"
     exprs: tuple = ()  # report projections; for "map" the key expression
     value_expr: object | None = None  # mapped value for "map"
-    plan: object = _memo()  # gretlite.query.planner.Plan
+    # gretlite.query.planner.Plan
+    plan: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,6 @@ class Call:
     name: str
     classes: tuple[ClassSpec, ...] | None
     args: tuple
-    resolved: object = _memo()  # degree{...}: as for PathStep
 
 
 @dataclass(frozen=True)

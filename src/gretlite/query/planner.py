@@ -12,13 +12,13 @@ plan says what the evaluator checks at each level:
   checked once, before the loops.  Conjuncts of one level keep their
   source order.
 * Joins.  A conjunct `A = B` placed at level k, where one side mentions
-  (of this comprehension's variables) only level k's and the other side
-  only earlier ones, becomes a hash index: the level's domain members are
-  bucketed by the `value_key` of their side, in domain order, and each
-  row probes it with the other side.  This needs a domain over none of
-  the comprehension's variables.  When the domain and the key side mention
-  no comprehension variable of the whole query at all, the evaluator
-  builds the index once per `evaluate` call.
+  (of the query's comprehension variables) only level k's and the other
+  side some earlier ones of this comprehension, becomes a hash index:
+  the level's domain members are bucketed by the `value_key` of their
+  side, in domain order, and each row probes it with the other side.
+  The domain must mention no comprehension variable of the query, so
+  the evaluator builds the index once per `evaluate` call.  Any other
+  `=` stays a check.
 * Invariants.  A subexpression that mentions no variable declared by any
   comprehension of the query is wrapped in `Invariant` and evaluated at
   most once per `evaluate` call, on first use.
@@ -60,40 +60,37 @@ class Planned:
 
 
 class Join:
-    __slots__ = ("conjunct", "key", "probe", "shared")
+    """A hash index over a level's domain, built once per `evaluate`."""
 
-    def __init__(self, conjunct, key, probe, shared: bool):
-        self.conjunct = conjunct  # the `=` conjunct as written
+    __slots__ = ("key", "probe")
+
+    def __init__(self, key, probe):
         self.key = key  # side over the level's variable: indexes the domain
         self.probe = probe  # side over earlier variables: looks it up
-        # one index per evaluate call, not one per domain evaluation
-        self.shared = shared
 
 
 class Level:
     """One declared name, bound from its group's domain."""
 
-    __slots__ = ("name", "decl", "domain", "conjuncts", "checks", "join")
+    __slots__ = ("name", "decl", "domain", "checks", "join")
 
     def __init__(self, name: str, decl: n.DeclGroup, domain):
         self.name = name
         self.decl = decl  # as written
         self.domain = domain  # the group's domain, on its first name only
-        self.conjuncts = ()  # as written, source order, without the join
-        self.checks = ()  # the conjuncts as evaluated
+        self.checks = ()  # its conjuncts in source order, without the join
         self.join: Join | None = None
 
 
 class Plan:
-    __slots__ = ("kind", "levels", "pre", "pre_checks", "exprs",
-                 "value_expr", "what")
+    __slots__ = ("kind", "levels", "pre_checks", "exprs", "value_expr",
+                 "what")
 
-    def __init__(self, kind: str, levels, pre, pre_checks, exprs,
-                 value_expr, what: str):
+    def __init__(self, kind: str, levels, pre_checks, exprs, value_expr,
+                 what: str):
         self.kind = kind  # "list", "set" or "map"
         self.levels: tuple[Level, ...] = levels
-        self.pre = pre  # conjuncts over none of its variables, as written
-        self.pre_checks = pre_checks  # ... and as evaluated
+        self.pre_checks = pre_checks  # conjuncts over none of its variables
         self.exprs = exprs
         self.value_expr = value_expr
         # the label of a conjunct that is neither boolean nor undefined:
@@ -170,14 +167,11 @@ class _Planner:
     def plan(self, node: n.Comprehension) -> Plan:
         levels: list[Level] = []
         level_of: dict[str, int] = {}  # name -> its last declaring level
-        domain_ok: list[bool] = []  # per level: domain over none of ours
         for group in node.decls:
-            ours = self.free[id(group.domain)].intersection(level_of)
             domain = self.rewrite(group.domain)
             for i, name in enumerate(group.names):
                 level_of[name] = len(levels)
                 levels.append(Level(name, group, domain if i == 0 else None))
-                domain_ok.append(not ours)
 
         placed: list[list] = [[] for _ in levels]
         pre = []
@@ -188,19 +182,17 @@ class _Planner:
 
         for k, level in enumerate(levels):
             rest = placed[k]
-            if domain_ok[k]:
+            if self.invariant(level.decl.domain):
                 for conjunct in rest:
-                    level.join = self.join(conjunct, k, level, level_of)
+                    level.join = self.join(conjunct, k, level.name, level_of)
                     if level.join is not None:
                         rest = [c for c in rest if c is not conjunct]
                         break
-            level.conjuncts = tuple(rest)
             level.checks = tuple(self.rewrite(c) for c in rest)
 
         return Plan(
             kind=node.kind,
             levels=tuple(levels),
-            pre=tuple(pre),
             pre_checks=tuple(self.rewrite(c) for c in pre),
             exprs=tuple(self.rewrite(e) for e in node.exprs),
             value_expr=(None if node.value_expr is None
@@ -212,21 +204,21 @@ class _Planner:
         """The levels whose variables `expr` mentions."""
         return {level_of[x] for x in self.free[id(expr)] if x in level_of}
 
-    def join(self, conjunct, k: int, level: Level, level_of) -> Join | None:
+    def join(self, conjunct, k: int, name: str, level_of) -> Join | None:
+        """A join for `conjunct` at level k, whose domain is invariant:
+        the key side must mention no comprehension variable of the query
+        but the level's own, so one index serves the whole call."""
         if not (isinstance(conjunct, n.Binary) and conjunct.op == "="):
             return None
         for key, probe in ((conjunct.left, conjunct.right),
                            (conjunct.right, conjunct.left)):
             # an invariant probe looks the index up once per evaluation,
             # which gains nothing over checking the conjunct
-            if (self.mentioned(key, level_of) == {k}
+            if (name in self.free[id(key)]
+                    and self.free[id(key)].isdisjoint(self.declared - {name})
                     and all(j < k for j in self.mentioned(probe, level_of))
                     and not self.invariant(probe)):
-                domain = level.decl.domain
-                shared = (self.invariant(domain) and self.free[id(key)]
-                          .isdisjoint(self.declared - {level.name}))
-                return Join(conjunct, self.rewrite(key), self.rewrite(probe),
-                            shared)
+                return Join(self.rewrite(key), self.rewrite(probe))
         return None
 
     def rewrite(self, expr):
@@ -265,8 +257,7 @@ def _rebuild(node, parts: list):
         case n.Binary():
             return n.Binary(node.op, *parts)
         case n.Call():
-            return n.Call(node.name, node.classes, tuple(parts),
-                          node.resolved)
+            return n.Call(node.name, node.classes, tuple(parts))
         case n.PathApply():
             return n.PathApply(parts[0], node.steps)
         case n.AttrAccess():

@@ -7,10 +7,12 @@ transformation engine, so these results can check those components.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from gretlite.errors import ParseError
 from gretlite.lexer import _STRING_ESCAPES, _SYMBOLS, Token
+from gretlite.query import nodes
 from gretlite.query.evaluator import evaluate
 from gretlite.values import OrderedSet, ValueMap, value_key
 
@@ -171,13 +173,15 @@ def naive_comprehension(comp, graph, bindings=None):
 
     Domains expand row by row (later declarations may use earlier
     variables), names within one group take the cross product over the
-    same evaluated domain; subexpression evaluation is delegated.
+    same evaluated domain, and the whole `with` clause is tested once
+    every variable is bound.  Subexpressions go to `naive_eval`, so
+    nested comprehensions, at any depth, are nested loops too.
     """
     rows = [dict(bindings or {})]
     for group in comp.decls:
         expanded = []
         for row in rows:
-            members = list(evaluate(group.domain, graph, row))
+            members = list(naive_eval(group.domain, graph, row))
             for combo in itertools.product(members, repeat=len(group.names)):
                 new_row = dict(row)
                 new_row.update(zip(group.names, combo))
@@ -186,23 +190,52 @@ def naive_comprehension(comp, graph, bindings=None):
     if comp.condition is not None:
         rows = [
             row for row in rows
-            if evaluate(comp.condition, graph, row) is True
+            if naive_eval(comp.condition, graph, row) is True
         ]
     if comp.kind == "map":
         result = ValueMap()
         for row in rows:
             result.put(
-                evaluate(comp.exprs[0], graph, row),
-                evaluate(comp.value_expr, graph, row),
+                naive_eval(comp.exprs[0], graph, row),
+                naive_eval(comp.value_expr, graph, row),
             )
         return result
     projected = []
     for row in rows:
-        values = [evaluate(e, graph, row) for e in comp.exprs]
+        values = [naive_eval(e, graph, row) for e in comp.exprs]
         projected.append(values[0] if len(values) == 1 else tuple(values))
     if comp.kind == "set":
         return OrderedSet(projected)
     return projected
+
+
+def naive_eval(expr, graph, row):
+    """`expr` under the variables `row`, with every comprehension in it run
+    by `naive_comprehension`.
+
+    Each outermost comprehension inside `expr` is computed first and
+    stands in as a fresh variable; the rest goes to `evaluate`, which then
+    meets no comprehension.  Being eager, this is only exact for
+    expressions that raise on no binding.
+    """
+    if isinstance(expr, nodes.Comprehension):
+        return naive_comprehension(expr, graph, row)
+    inner = {}
+
+    def swap(node):
+        if isinstance(node, nodes.Comprehension):
+            name = f" comprehension {len(inner)}"
+            inner[name] = naive_comprehension(node, graph, row)
+            return nodes.VarRef(name)
+        if isinstance(node, tuple):
+            return tuple(swap(part) for part in node)
+        if dataclasses.is_dataclass(node):
+            return dataclasses.replace(node, **{
+                f.name: swap(getattr(node, f.name))
+                for f in dataclasses.fields(node)})
+        return node
+
+    return evaluate(swap(expr), graph, {**row, **inner})
 
 
 def values_equal(a, b) -> bool:

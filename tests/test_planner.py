@@ -117,7 +117,7 @@ def comprehensions(draw):
 @example("from x0 : list(undefined, 1, true, 0), "
          "x1 : list(1.0, undefined, 1, true, 1, false) "
          "with x0 = x1 report tup(x0, x1) end", 0)
-# an index per evaluation of a domain that depends on an outer variable
+# a domain that depends on an outer variable: `b = a` stays a check
 @example("from x0 : V{Node} report tup(x0, from a : x0 <--, b : x0 <-- "
          "with b = a report b end) end", 0)
 @example("from x0 : V{Node}, x1 : E{Edge_LinksToTrg}, x2 : V{Node} "
@@ -147,9 +147,9 @@ def test_nested_comprehension_reads_outer_variables(sample1):
 # -- placement and joins of the corpus queries -----------------------------
 
 def _where(plan):
-    """{level name: (conjuncts as written, join conjunct or None)}"""
-    return {level.name: (level.conjuncts,
-                         level.join and level.join.conjunct)
+    """{level name: (checks, (join key, join probe) or None)}"""
+    return {level.name: (level.checks,
+                         level.join and (level.join.key, level.join.probe))
             for level in plan.levels}
 
 
@@ -160,7 +160,7 @@ def test_placement_of_circle_of_three():
     c = planner.conjuncts(comprehension.condition)
     assert len(c) == 6
     # n1 <> n2, n1 <> n3, n2 <> n3, contains(n1..n2), (n2..n3), (n3..n1)
-    assert plan.pre == ()
+    assert plan.pre_checks == ()
     assert _where(plan) == {
         "n1": ((), None),
         "n2": ((c[0], c[3]), None),
@@ -174,13 +174,10 @@ def test_placement_of_reverse_edges():
     comprehension = script.ops[0].query
     plan = planner.plan(comprehension)
     c = planner.conjuncts(comprehension.condition)
-    assert _where(plan) == {"e": ((), None), "s": ((), c[0]),
-                            "t": ((), c[1])}
-    s, t = plan.levels[1].join, plan.levels[2].join
     # startVertex(s) = e: the index is keyed by the left side
-    assert (s.key, s.probe) == (c[0].left, c[0].right)
-    assert (t.key, t.probe) == (c[1].left, c[1].right)
-    assert s.shared and t.shared
+    assert _where(plan) == {"e": ((), None),
+                            "s": ((), (c[0].left, c[0].right)),
+                            "t": ((), (c[1].left, c[1].right))}
 
 
 def test_placement_of_transitive_edges():
@@ -190,29 +187,47 @@ def test_placement_of_transitive_edges():
     c = planner.conjuncts(comprehension.condition)
     # endVertex(e1) = startVertex(e2), not contains(.., e1),
     # not contains(.., e2), isEmpty(from e3 ...)
-    assert _where(plan) == {"e1": ((c[1],), None),
-                            "e2": ((c[2], c[3]), c[0])}
-    join = plan.levels[1].join
-    assert (join.key, join.probe) == (c[0].right, c[0].left)
-    assert join.shared
-    # keySet(arch_...) is evaluated once per call
-    check = plan.levels[0].checks[0]
-    assert isinstance(check.operand.args[0], planner.Invariant)
-    # the inner comprehension joins e3 on startVertex(e1), once per call
-    inner = plan.levels[1].checks[1].args[0]
+    e1, e2 = plan.levels
+    assert e1.join is None
+    assert (e2.join.key, e2.join.probe) == (c[0].right, c[0].left)
+    # not contains(keySet(arch_...), e1), with keySet(...) evaluated once
+    # per call
+    for level, conjunct in ((e1, c[1]), (e2, c[2])):
+        check = level.checks[0].operand
+        invariant, variable = check.args
+        assert isinstance(invariant, planner.Invariant)
+        assert (invariant.expr, variable) == conjunct.operand.args
+    assert len(e1.checks) == 1
+    # the inner comprehension joins e3 on startVertex(e1)
+    assert len(e2.checks) == 2
+    inner = e2.checks[1].args[0]
     assert isinstance(inner, planner.Planned)
     inner_c = planner.conjuncts(c[3].args[0].condition)
-    assert _where(inner.plan) == {"e3": ((inner_c[1],), inner_c[0])}
-    assert inner.plan.levels[0].join.shared
+    assert _where(inner.plan) == {
+        "e3": ((inner_c[1],), (inner_c[0].left, inner_c[0].right))}
     assert isinstance(inner.plan.levels[0].domain, planner.Invariant)
 
 
 def test_constant_probe_is_a_filter_and_constant_conjunct_runs_first():
     plan = planner.plan(parse_query(
         'from n : V{Node} with 1 = 1 and n.name = "n1" report n end'))
-    assert len(plan.pre) == 1
+    assert len(plan.pre_checks) == 1
     assert plan.levels[0].join is None
-    assert len(plan.levels[0].conjuncts) == 1
+    assert len(plan.levels[0].checks) == 1
+
+
+@pytest.mark.parametrize("inner", [
+    # the domain depends on the outer variable
+    "from a : x <--, b : x <-- with b = a report b end",
+    # the key side mentions the outer variable
+    "from a : V{Node}, b : V{Node} with tup(b, x) = tup(a, x) report b end",
+])
+def test_equalities_an_index_per_call_cannot_serve_are_checks(inner):
+    # one index per evaluate call is the only kind there is
+    plan = planner.plan(parse_query(f"from x : V{{Node}} report {inner} end"))
+    levels = plan.exprs[0].plan.levels
+    assert [level.join for level in levels] == [None, None]
+    assert len(levels[1].checks) == 1
 
 
 # -- work done --------------------------------------------------------------
@@ -260,8 +275,8 @@ def test_invariants_are_evaluated_once_per_call(sample1, monkeypatch):
 
 
 def test_class_sets_follow_the_schema():
-    # a node keeps its resolved class names per schema, and a schema that
-    # defines another class resolves them again
+    # class specs resolve once per evaluate call, so a schema that
+    # defines another class between calls is seen by the next one
     ast = parse_query("tup(count(V{A}), count(from x : V{A!} report x end))")
     first = Schema("s")
     first.define_vertex_class("A")
@@ -275,6 +290,21 @@ def test_class_sets_follow_the_schema():
     second.define_vertex_class("Z")
     second.define_vertex_class("A", supertypes=["Z"])
     assert evaluate(ast, Graph(second)) == (0, 0)
+
+
+def test_edge_class_sets_follow_the_schema():
+    ast = parse_query("from v : V report tup(degree{L}(v), count(v -->{L}), "
+                      "count(v -->{L!})) end")
+    schema = Schema("s")
+    schema.define_vertex_class("A")
+    schema.define_edge_class("L", "A", "A")
+    graph = Graph(schema)
+    a, b = graph.create_vertex("A"), graph.create_vertex("A")
+    graph.create_edge("L", a, b)
+    assert evaluate(ast, graph) == [(1, 1, 1), (1, 0, 0)]
+    schema.define_edge_class("M", "A", "A", supertypes=["L"])
+    graph.create_edge("M", b, a)
+    assert evaluate(ast, graph) == [(2, 1, 1), (2, 1, 0)]
 
 
 # -- errors -----------------------------------------------------------------
