@@ -3,16 +3,72 @@
 Saved graphs are canonical: vertices then edges, creation order, all
 attributes in declaration order, positional labels v1../e1...  Loading a
 saved document and saving it again reproduces it byte for byte.
+
+A `.glg` file is a header `graph NAME conforms SCHEMA;` followed by one
+statement per element, in creation order:
+
+    LABEL : CLASS [START -> END] [{ ATTR = LITERAL [,] ... }] ;
+
+START and END (required for edge classes, absent for vertex classes) are
+labels of vertices declared earlier.  A LITERAL is a string, a number
+with an optional '-' before it, `true` or `false`.  Whitespace and `//`
+comments may stand between any two tokens, and identifiers, numbers and
+strings follow the lexer's rules.  The header goes through the lexer;
+each statement is read with one match of `_STATEMENT`, and its attribute
+entries with `_ENTRY`.  Every error is a ParseError with the line and
+column of the offending token, and the first fault in file order is the
+one reported.
 """
 
 from __future__ import annotations
 
+import re
+
 from gretlite import model
 from gretlite.errors import GraphError, ParseError, SchemaError
-from gretlite.lexer import TokenStream, tokenize
+from gretlite.lexer import (
+    IDENT,
+    NUMBER,
+    STRING,
+    Token,
+    TokenStream,
+    scan,
+    string_value,
+    tokenize,
+)
 from gretlite.values import quote_string
 
 _ATTR_TYPES = {t.value: t for t in model.AttrType}
+
+# Each piece of the `.glg` patterns below matches exactly the lexer's
+# token: whitespace and whole `//` comments (a comment never gives back
+# characters), the lexer's own identifier, number and string rules, and
+# a symbol only where the lexer would not read a longer one (':' but not
+# ':=', '-' but not '->' or '-->').  Every group is optional after the
+# first, so a failed statement still shows how far it got.  They are
+# compiled on first use (`re` keeps them), so a process that reads no
+# graph does not compile them.
+_S = r"(?:\s|//.*(?!.))*"
+# groups: name, string, '-', number, boolean
+_ENTRY = (
+    rf"({IDENT}){_S}={_S}"
+    rf"(?:({STRING})|(?:(-){_S})?({NUMBER})|(true|false)(?!\w))"
+    rf"{_S}(?:,{_S})?"
+)
+# the statement repeats the entry pattern with its groups made non-capturing
+_ENTRIES = "(?:" + re.sub(r"\((?!\?)", "(?:", _ENTRY) + ")*"
+# groups: label, ':', class, start, '->', end, '{', entries, '}', ';'
+_STATEMENT = (
+    rf"({IDENT}){_S}(?:(:(?!=)){_S}(?:({IDENT}){_S}"
+    rf"(?:({IDENT}){_S}(?:(->){_S}(?:({IDENT}){_S})?)?)?"
+    rf"(?:(\{{){_S}({_ENTRIES})"
+    rf"(?:(\}}){_S})?)?"
+    rf"(?:(;){_S})?)?)?"
+)
+_HEADER = (rf"{_S}graph(?!\w){_S}{IDENT}{_S}conforms(?!\w){_S}{IDENT}{_S}"
+           rf";{_S}")
+# groups: name, '=', '-'; reads a malformed entry as far as it goes
+_ENTRY_HEAD = rf"({IDENT}){_S}(?:(=){_S}(?:(-)(?!-?>){_S})?)?"
 
 
 def load_schema(text: str) -> model.Schema:
@@ -151,7 +207,10 @@ def _attrs_text(cls) -> str:
 
 
 def load_graph(text: str, schema: model.Schema) -> model.Graph:
-    ts = TokenStream(tokenize(text))
+    header = re.match(_HEADER, text)
+    # A header the regex rejects is parsed from a lazy scan of the file,
+    # which raises at its first fault.
+    ts = TokenStream(tokenize(header.group()) if header else scan(text))
     ts.expect_ident("graph")
     name_tok = ts.expect_ident()
     ts.expect_ident("conforms")
@@ -165,82 +224,108 @@ def load_graph(text: str, schema: model.Schema) -> model.Graph:
     ts.expect_symbol(";")
     graph = model.Graph(schema, name=name_tok.text)
     labels: dict[str, model.Element] = {}
-    while not ts.at_eof():
-        _element_line(ts, graph, labels)
+    statement, entries = re.compile(_STATEMENT), re.compile(_ENTRY)
+    pos = header.end()
+    while pos < len(text):
+        m = statement.match(text, pos)
+        if m is None:
+            _expected(text, pos, "identifier")
+        label, colon, class_name, start, arrow, end, brace, _, close, semi = \
+            m.groups()
+        # a label the lexer rejects ('²x') fails as `_invalid` lexes it
+        if not (label[0].isalpha() or label[0] == "_") or label in labels:
+            _invalid(text, pos, f"duplicate element id '{label}'")
+        if colon is None:
+            _expected(text, m.end(1), "':'")
+        if class_name is None:
+            _expected(text, m.end(2), "identifier")
+        if not schema.has_class(class_name):
+            _invalid(text, m.start(3), f"unknown class '{class_name}'")
+        try:
+            if schema.is_vertex_class(class_name):
+                element = graph.create_vertex(class_name)
+                if start is not None:
+                    _expected(text, m.start(4), "';'")
+            else:
+                if start is None:
+                    _expected(text, m.end(3), "identifier")
+                tail = _vertex(text, m, 4, labels)
+                if arrow is None:
+                    _expected(text, m.end(4), "'->'")
+                if end is None:
+                    _expected(text, m.end(5), "identifier")
+                element = graph.create_edge(class_name, tail,
+                                            _vertex(text, m, 6, labels))
+        except GraphError as exc:
+            _invalid(text, m.start(3), str(exc))
+        labels[label] = element
+        if brace is not None:
+            for e in entries.finditer(text, m.start(8), m.end(8)):
+                _set_attr(text, e, element)
+            if close is None:
+                _entry_fault(text, m.end(8))
+        if semi is None:
+            _expected(text, m.end(), "';'")
+        pos = m.end()
     return graph
 
 
-def _element_line(ts: TokenStream, graph: model.Graph, labels):
-    label_tok = ts.expect_ident()
-    label = label_tok.text
-    if label in labels:
-        raise ParseError(f"duplicate element id '{label}'",
-                         label_tok.line, label_tok.column)
-    ts.expect_symbol(":")
-    class_tok = ts.expect_ident()
-    class_name = class_tok.text
-    if not graph.schema.has_class(class_name):
-        raise ParseError(f"unknown class '{class_name}'",
-                         class_tok.line, class_tok.column)
-    try:
-        if graph.schema.is_vertex_class(class_name):
-            element = graph.create_vertex(class_name)
-        else:
-            start = _endpoint(ts, labels)
-            ts.expect_symbol("->")
-            end = _endpoint(ts, labels)
-            element = graph.create_edge(class_name, start, end)
-    except GraphError as exc:
-        raise ParseError(str(exc), class_tok.line, class_tok.column) from None
-    labels[label] = element
-    if ts.at_symbol("{"):
-        ts.next()
-        while not ts.at_symbol("}"):
-            attr_tok = ts.expect_ident()
-            ts.expect_symbol("=")
-            value = _literal(ts)
-            try:
-                element.set_attr(attr_tok.text, value)
-            except GraphError as exc:
-                raise ParseError(str(exc), attr_tok.line,
-                                 attr_tok.column) from None
-            if ts.at_symbol(","):
-                ts.next()
-        ts.next()
-    ts.expect_symbol(";")
-
-
-def _endpoint(ts: TokenStream, labels) -> model.Vertex:
-    tok = ts.expect_ident()
-    element = labels.get(tok.text)
+def _vertex(text: str, m: re.Match, group: int, labels) -> model.Vertex:
+    name = m[group]
+    element = labels.get(name)
     if element is None:
-        raise ParseError(f"edge references undeclared element '{tok.text}'",
-                         tok.line, tok.column)
+        _invalid(text, m.start(group),
+                 f"edge references undeclared element '{name}'")
     if not isinstance(element, model.Vertex):
-        raise ParseError(f"edge endpoint '{tok.text}' is not a vertex",
-                         tok.line, tok.column)
+        _invalid(text, m.start(group),
+                 f"edge endpoint '{name}' is not a vertex")
     return element
 
 
-def _literal(ts: TokenStream):
-    tok = ts.peek()
-    if tok.kind == "STRING":
-        return ts.next().value
-    if tok.kind == "NUMBER":
-        return ts.next().value
-    if ts.at_symbol("-"):
-        ts.next()
-        num = ts.peek()
-        if num.kind != "NUMBER":
-            ts.error("expected a number after '-'")
-        return -ts.next().value
-    if ts.at_ident("true"):
-        ts.next()
-        return True
-    if ts.at_ident("false"):
-        ts.next()
-        return False
-    ts.error("expected a literal")
+def _set_attr(text: str, e: re.Match, element: model.Element):
+    name, string, minus, number, boolean = e.groups()
+    if string is not None:
+        value = string_value(string)
+    elif number is not None:
+        try:
+            value = int(number) if number.isdecimal() else float(number)
+        except ValueError:  # the lexer reports the over-long literal
+            _invalid(text, e.start(4), "number literal too long")
+        if minus is not None:
+            value = -value
+    else:
+        value = boolean == "true"
+    try:
+        element.set_attr(name, value)
+    except (GraphError, SchemaError) as exc:
+        _invalid(text, e.start(), str(exc))
+
+
+def _entry_fault(text: str, pos: int):
+    """Raise for the malformed attribute entry, or the missing '}', at
+    `pos`."""
+    e = re.compile(_ENTRY_HEAD).match(text, pos)
+    if e is None:
+        _expected(text, pos, "identifier")
+    if e[2] is None:
+        _expected(text, e.end(1), "'='")
+    _expected(text, e.end(),
+              "a literal" if e[3] is None else "a number after '-'")
+
+
+def _token_at(text: str, pos: int) -> Token:
+    """The token at `pos`, after any whitespace; the lexer raises its own
+    error if that token is malformed."""
+    return next(scan(text, re.compile(_S).match(text, pos).end()))
+
+
+def _expected(text: str, pos: int, what: str):
+    TokenStream([_token_at(text, pos)]).error(f"expected {what}")
+
+
+def _invalid(text: str, pos: int, message: str):
+    tok = _token_at(text, pos)
+    raise ParseError(message, tok.line, tok.column)
 
 
 def _render_literal(value) -> str:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from gretlite.errors import ParseError
 
@@ -17,18 +18,27 @@ _SYMBOLS = (
 
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
-# One alternative per token kind, tried in order.  Numbers use decimal
-# digits only (`\d`); other digits such as '²' are word characters, so
-# they may continue an identifier but never start a token.  BADSTRING
-# matches the longest well-formed prefix of a string that has no closing
-# quote, so the character after it tells which error to report.
+# Token rules, shared with the statement-level `.glg` reader in `formats`.
+# Numbers use decimal digits only (`\d`); other digits such as '²' are
+# word characters, so they may continue an identifier but never start a
+# token (an identifier must also start with a letter or '_', which
+# `scan` checks).  IDENT never ends inside a word, even where a pattern
+# that embeds it backtracks.
+NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+IDENT = r"[^\W\d]\w*(?!\w)"
+_UNCLOSED_STRING = r'"(?:[^"\\\n]|\\["\\ntr])*'
+STRING = _UNCLOSED_STRING + '"'
+
+# One alternative per token kind, tried in order.  BADSTRING matches the
+# longest well-formed prefix of a string that has no closing quote, so the
+# character after it tells which error to report.
 _TOKEN = re.compile(
     r"(?P<NEWLINE>\n)"
     r"|(?P<SKIP>[^\S\n]+|//[^\n]*)"
-    r"|(?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<IDENT>\w+)"
-    r'|(?P<STRING>"(?:[^"\\\n]|\\["\\ntr])*")'
-    r'|(?P<BADSTRING>"(?:[^"\\\n]|\\["\\ntr])*)'
+    rf"|(?P<NUMBER>{NUMBER})"
+    rf"|(?P<IDENT>{IDENT})"
+    rf"|(?P<STRING>{STRING})"
+    rf"|(?P<BADSTRING>{_UNCLOSED_STRING})"
     r"|(?P<SYMBOL>" + "|".join(map(re.escape, _SYMBOLS)) + ")"
     r"|(?P<MISMATCH>.)"
 )
@@ -43,11 +53,17 @@ class Token(NamedTuple):
     column: int
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
+def string_value(literal: str) -> str:
+    """The value of a well-formed string literal, quotes included."""
+    return _ESCAPE.sub(lambda e: _STRING_ESCAPES[e[1]], literal[1:-1])
+
+
+def scan(text: str, pos: int = 0) -> Iterator[Token]:
+    """Tokens of `text` from offset `pos` on, ending with EOF, made one
+    at a time: a lexical fault raises only once the scan reaches it."""
+    line = text.count("\n", 0, pos) + 1
+    line_start = text.rfind("\n", 0, pos) + 1
+    for m in _TOKEN.finditer(text, pos):
         kind = m.lastgroup
         if kind == "SKIP":
             continue
@@ -59,7 +75,7 @@ def tokenize(text: str) -> list[Token]:
         column = m.start() - line_start + 1
         if kind == "SYMBOL" or (
                 kind == "IDENT" and (word[0].isalpha() or word[0] == "_")):
-            append(Token(kind, word, word, line, column))
+            yield Token(kind, word, word, line, column)
         elif kind == "NUMBER":
             try:
                 value = int(word) if word.isdecimal() else float(word)
@@ -67,10 +83,9 @@ def tokenize(text: str) -> list[Token]:
                 raise ParseError(
                     f"number literal too long ({len(word)} digits)",
                     line, column) from None
-            append(Token(kind, word, value, line, column))
+            yield Token(kind, word, value, line, column)
         elif kind == "STRING":
-            value = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e[1]], word[1:-1])
-            append(Token(kind, word, value, line, column))
+            yield Token(kind, word, string_value(word), line, column)
         elif kind == "BADSTRING":
             bad_escape = text.startswith("\\", m.end())
             raise ParseError(
@@ -78,23 +93,34 @@ def tokenize(text: str) -> list[Token]:
                 else "unterminated string literal", line, column)
         else:
             raise ParseError(f"unexpected character {word[0]!r}", line, column)
-    append(Token("EOF", "", None, line, len(text) - line_start + 1))
-    return tokens
+    yield Token("EOF", "", None, line, len(text) - line_start + 1)
+
+
+def tokenize(text: str) -> list[Token]:
+    return list(scan(text))
 
 
 class TokenStream:
-    """Cursor over a token list with the usual expect/peek helpers."""
+    """Cursor over tokens with the usual expect/peek helpers."""
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, tokens: Iterable[Token]):
+        # Any iterable other than a list is read only as far as the parser
+        # looks, so a lexical fault after the first syntax fault is never
+        # reached.
+        lazy = not isinstance(tokens, list)
+        self._tokens = [] if lazy else tokens
+        self._rest = iter(tokens if lazy else ())
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        # next() never moves past EOF, so only a look-ahead can overrun
+        i = self._pos + ahead
         try:
-            return self._tokens[self._pos + ahead]
+            return self._tokens[i]
         except IndexError:
-            return self._tokens[-1]
+            # pull from a lazy source; past EOF, which next() never moves
+            # beyond, a look-ahead gets EOF again
+            self._tokens += islice(self._rest, i + 1 - len(self._tokens))
+            return self._tokens[min(i, len(self._tokens) - 1)]
 
     def next(self) -> Token:
         tok = self.peek()

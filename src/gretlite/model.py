@@ -87,6 +87,8 @@ class Schema:
         self._flat: dict[str, dict[str, tuple[str, AttrType]]] = {}
         # class -> read-only attr name -> type view of `_flat`
         self._attr_types: dict[str, MappingProxyType] = {}
+        # class -> attr name -> default value, copied into each new element
+        self._defaults: dict[str, dict[str, object]] = {}
         self._supers: dict[str, frozenset[str]] = {}
         self._subs: dict[str, tuple[str, ...]] = {}
 
@@ -125,9 +127,6 @@ class Schema:
 
     def is_vertex_class(self, name: str) -> bool:
         return isinstance(self._classes.get(name), VertexClass)
-
-    def is_edge_class(self, name: str) -> bool:
-        return isinstance(self._classes.get(name), EdgeClass)
 
     def superclasses(self, name: str) -> frozenset[str]:
         """Transitive supertypes of `name`, including `name` itself."""
@@ -245,6 +244,8 @@ class Schema:
         self._flat[cls.name] = merged
         self._attr_types[cls.name] = MappingProxyType(
             {a: t for a, (_, t) in merged.items()})
+        self._defaults[cls.name] = {
+            a: t.default() for a, (_, t) in merged.items()}
         supers = frozenset({cls.name}).union(
             *(self._supers[sup] for sup in cls.supertypes))
         self._supers[cls.name] = supers
@@ -264,8 +265,7 @@ class Element:
         self.id = eid
         self.class_name = class_name
         self.alive = True
-        flat = graph.schema.flat_attributes(class_name)
-        self._attrs = {a: t.default() for a, t in flat.items()}
+        self._attrs = graph.schema._defaults[class_name].copy()
 
     def ref(self) -> str:
         return f"{self._prefix}{self.id}"
@@ -292,7 +292,8 @@ class Element:
         value = atype.coerce(value)
         if isinstance(value, float) and not math.isfinite(value):
             raise GraphError(f"attribute '{name}' rejects non-finite value")
-        if self._attrs[name] == value:
+        old = self._attrs[name]
+        if old == value and str(old) == str(value):  # -0.0 == 0.0
             return False
         self._attrs[name] = value
         self.graph._bump()

@@ -12,13 +12,15 @@ Statement forms:
 
 Templates are comma-separated chains of parenthesized vertex items joined
 by `-->{T ...}` arrows; embedded queries use the query-language grammar.
+`Iteratively` blocks nest at most MAX_DEPTH deep, the query parser's
+limit; a deeper one is a ParseError at its keyword.
 """
 
 from __future__ import annotations
 
 from gretlite.errors import ParseError
 from gretlite.lexer import TokenStream, tokenize
-from gretlite.query.parser import parse_embedded
+from gretlite.query.parser import MAX_DEPTH, parse_embedded
 from gretlite.transform import ops
 
 _STATEMENT_KEYWORDS = (
@@ -36,11 +38,12 @@ def parse_script(text: str) -> ops.Transformation:
     ts.expect_symbol(";")
     statements = []
     while not ts.at_eof():
-        statements.append(_statement(ts))
+        statements.append(_statement(ts, 0))
     return ops.Transformation(name, tuple(statements))
 
 
-def _statement(ts: TokenStream):
+def _statement(ts: TokenStream, depth: int):
+    """One operation; `depth` counts the Iteratively blocks around it."""
     tok = ts.peek()
     if tok.kind != "IDENT" or tok.text not in _STATEMENT_KEYWORDS:
         ts.error("expected an operation keyword")
@@ -69,12 +72,16 @@ def _statement(ts: TokenStream):
         ts.expect_symbol(";")
         return ops.Delete(query)
     # Iteratively
+    if depth == MAX_DEPTH:
+        raise ParseError(
+            f"Iteratively blocks nested more than {MAX_DEPTH} levels deep",
+            tok.line, tok.column)
     ts.expect_symbol("{")
     body = []
     while not ts.at_symbol("}"):
         if ts.at_eof():
             ts.error("unterminated Iteratively block")
-        body.append(_statement(ts))
+        body.append(_statement(ts, depth + 1))
     if not body:
         ts.error("Iteratively block must contain at least one operation")
     ts.next()

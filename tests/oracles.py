@@ -10,8 +10,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from gretlite.errors import ParseError
-from gretlite.lexer import _STRING_ESCAPES, _SYMBOLS, Token
+from gretlite import model
+from gretlite.errors import GraphError, ParseError, SchemaError
+from gretlite.lexer import _STRING_ESCAPES, _SYMBOLS, Token, TokenStream, tokenize
 from gretlite.query import nodes
 from gretlite.query.evaluator import evaluate
 from gretlite.values import OrderedSet, ValueMap, value_key
@@ -407,3 +408,102 @@ def naive_tokenize(text: str) -> list[Token]:
             error(f"unexpected character {c!r}")
     tokens.append(Token("EOF", "", None, line, col))
     return tokens
+
+
+def naive_load_graph(text: str, schema) -> model.Graph:
+    """Token-by-token reference for `gretlite.formats.load_graph`.
+
+    It lexes the whole file before reading it, so a lexical fault
+    anywhere is reported ahead of an earlier fault of another kind; the
+    reader under test reports the first fault in file order.
+    """
+    ts = TokenStream(tokenize(text))
+    ts.expect_ident("graph")
+    name_tok = ts.expect_ident()
+    ts.expect_ident("conforms")
+    schema_tok = ts.expect_ident()
+    if schema_tok.text != schema.name:
+        raise ParseError(
+            f"graph conforms to '{schema_tok.text}' but schema "
+            f"'{schema.name}' was given",
+            schema_tok.line, schema_tok.column,
+        )
+    ts.expect_symbol(";")
+    graph = model.Graph(schema, name=name_tok.text)
+    labels: dict[str, model.Element] = {}
+    while not ts.at_eof():
+        _element_line(ts, graph, labels)
+    return graph
+
+
+def _element_line(ts: TokenStream, graph: model.Graph, labels):
+    label_tok = ts.expect_ident()
+    label = label_tok.text
+    if label in labels:
+        raise ParseError(f"duplicate element id '{label}'",
+                         label_tok.line, label_tok.column)
+    ts.expect_symbol(":")
+    class_tok = ts.expect_ident()
+    class_name = class_tok.text
+    if not graph.schema.has_class(class_name):
+        raise ParseError(f"unknown class '{class_name}'",
+                         class_tok.line, class_tok.column)
+    try:
+        if graph.schema.is_vertex_class(class_name):
+            element = graph.create_vertex(class_name)
+        else:
+            start = _endpoint(ts, labels)
+            ts.expect_symbol("->")
+            end = _endpoint(ts, labels)
+            element = graph.create_edge(class_name, start, end)
+    except GraphError as exc:
+        raise ParseError(str(exc), class_tok.line, class_tok.column) from None
+    labels[label] = element
+    if ts.at_symbol("{"):
+        ts.next()
+        while not ts.at_symbol("}"):
+            attr_tok = ts.expect_ident()
+            ts.expect_symbol("=")
+            value = _literal(ts)
+            try:
+                element.set_attr(attr_tok.text, value)
+            except (GraphError, SchemaError) as exc:
+                raise ParseError(str(exc), attr_tok.line,
+                                 attr_tok.column) from None
+            if ts.at_symbol(","):
+                ts.next()
+        ts.next()
+    ts.expect_symbol(";")
+
+
+def _endpoint(ts: TokenStream, labels) -> model.Vertex:
+    tok = ts.expect_ident()
+    element = labels.get(tok.text)
+    if element is None:
+        raise ParseError(f"edge references undeclared element '{tok.text}'",
+                         tok.line, tok.column)
+    if not isinstance(element, model.Vertex):
+        raise ParseError(f"edge endpoint '{tok.text}' is not a vertex",
+                         tok.line, tok.column)
+    return element
+
+
+def _literal(ts: TokenStream):
+    tok = ts.peek()
+    if tok.kind == "STRING":
+        return ts.next().value
+    if tok.kind == "NUMBER":
+        return ts.next().value
+    if ts.at_symbol("-"):
+        ts.next()
+        num = ts.peek()
+        if num.kind != "NUMBER":
+            ts.error("expected a number after '-'")
+        return -ts.next().value
+    if ts.at_ident("true"):
+        ts.next()
+        return True
+    if ts.at_ident("false"):
+        ts.next()
+        return False
+    ts.error("expected a literal")

@@ -238,6 +238,19 @@ def test_deeply_nested_query_is_a_parse_error(workdir, capsys):
     assert "(line 1, column 51)" in err
 
 
+def test_deeply_nested_iteratively_is_a_parse_error(workdir, capsys):
+    script = workdir / "deep.grt"
+    script.write_text("transformation deep;\n" + "Iteratively {\n" * 600
+                      + "Delete V{Node};\n" + "}\n" * 600, encoding="utf-8")
+    code = main(["transform", str(script), str(workdir / "graph1.gls"),
+                 "--source", str(workdir / "sample1.glg"), "--in-place",
+                 "--out", str(workdir / "out.glg")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "internal error" not in err
+    assert "nested more than 50 levels deep (line 52, column 1)" in err
+
+
 def test_long_operator_chain_evaluates(workdir, capsys):
     assert _query(workdir, " + ".join(["1"] * 5000)) == 0
     assert capsys.readouterr().out == "5000\n"

@@ -113,6 +113,21 @@ class TestLoadGraph:
             load_graph('graph g conforms graph1;\na : Node { name = 3 };\n',
                        graph1_schema)
 
+    def test_unknown_attribute_has_a_position(self, graph1_schema):
+        with pytest.raises(ParseError) as err:
+            load_graph('graph g conforms graph1;\nv1 : Node { nme = "x" };\n',
+                       graph1_schema)
+        assert str(err.value) == \
+            "class 'Node' declares no attribute 'nme' (line 2, column 13)"
+
+    def test_unknown_edge_attribute_has_a_position(self, graph1_schema):
+        with pytest.raises(ParseError) as err:
+            load_graph("graph g conforms graph1;\nx : Edge_;\nn : Node;\n"
+                       "e : Edge_LinksToSrc x -> n { w = 1.5 };\n",
+                       graph1_schema)
+        assert str(err.value) == ("class 'Edge_LinksToSrc' declares no "
+                                  "attribute 'w' (line 4, column 30)")
+
     def test_schema_name_mismatch(self, graph1_schema):
         with pytest.raises(ParseError, match="conforms"):
             load_graph("graph g conforms other;", graph1_schema)

@@ -166,6 +166,13 @@ class TestAttributes:
         assert (v.attr("s"), v.attr("i"), v.attr("b"), v.attr("d")) == \
             ("", 0, False, 0.0)
 
+    def test_each_element_has_its_own_defaults(self):
+        g = Graph(make_schema())
+        first, second = g.create_vertex("Node"), g.create_vertex("Node")
+        first.set_attr("name", "n1")
+        assert second.attr_names() == ["text", "name"]
+        assert (second.attr("text"), second.attr("name")) == ("", "")
+
     def test_type_mismatch(self):
         g = Graph(make_schema())
         n = g.create_vertex("Node")
@@ -207,6 +214,15 @@ class TestAttributes:
         before = g.revision
         assert n.set_attr("name", "a") is False
         assert g.revision == before
+
+    def test_negative_zero_is_a_change(self):
+        s = Schema("t")
+        s.define_vertex_class("A", attributes=[("d", AttrType.DOUBLE)])
+        v = Graph(s).create_vertex("A")
+        assert v.set_attr("d", -0.0) is True
+        assert str(v.attr("d")) == "-0.0"
+        assert v.set_attr("d", 0.0) is True
+        assert v.set_attr("d", 0) is False
 
 
 class TestTypeTests:

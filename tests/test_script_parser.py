@@ -2,6 +2,7 @@ import pytest
 
 from gretlite.errors import ParseError
 from gretlite.query import nodes as qn
+from gretlite.query.parser import MAX_DEPTH
 from gretlite.transform import ops, parse_script
 
 
@@ -40,6 +41,20 @@ def test_nested_iteratively():
     outer = t.ops[0]
     assert isinstance(outer.body[0], ops.Iteratively)
     assert isinstance(outer.body[0].body[0], ops.Delete)
+
+
+def test_iteratively_nesting_limit():
+    def nested(depth):
+        return ("transformation T;\n" + "Iteratively {\n" * depth
+                + "Delete set();\n" + "}\n" * depth)
+
+    op = parse_script(nested(MAX_DEPTH)).ops[0]
+    for _ in range(MAX_DEPTH - 1):
+        op = op.body[0]
+    assert isinstance(op.body[0], ops.Delete)
+    with pytest.raises(ParseError) as err:
+        parse_script(nested(MAX_DEPTH + 1))
+    assert (err.value.line, err.value.column) == (MAX_DEPTH + 2, 1)
 
 
 def test_delete_takes_a_bare_query():
