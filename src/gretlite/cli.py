@@ -11,12 +11,10 @@ import os
 import sys
 from pathlib import Path
 
-from gretlite import corpus
 from gretlite.errors import GretliteError
 from gretlite.formats import export_dot, load_graph, load_schema, save_graph
 from gretlite.query import evaluate, parse_query
 from gretlite.report import render_result, trace_report
-from gretlite.transform import execute, parse_script
 
 
 class UsageError(GretliteError):
@@ -27,7 +25,11 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"{path}: not UTF-8 text (byte offset {exc.start})") from None
 
 
 def _write_all(outputs: list[tuple[str, str]]):
@@ -64,7 +66,12 @@ def cmd_query(args) -> int:
     return 0
 
 
+# `transform` and `corpus` are imported by the subcommands that use them,
+# so that a query run does not pay for importing them.
+
 def cmd_transform(args) -> int:
+    from gretlite.transform import execute, parse_script
+
     target_schema = load_schema(_read(args.target_schema))
     transformation = parse_script(_read(args.script))
     if args.in_place and args.source is None:
@@ -95,6 +102,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from gretlite import corpus
+
     results = corpus.run_corpus(only=args.task)
     if not results:
         raise UsageError(f"no such task: {args.task}")

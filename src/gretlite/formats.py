@@ -36,7 +36,7 @@ from gretlite.lexer import (
     string_value,
     tokenize,
 )
-from gretlite.values import quote_string
+from gretlite.values import render_value
 
 _ATTR_TYPES = {t.value: t for t in model.AttrType}
 
@@ -328,16 +328,6 @@ def _invalid(text: str, pos: int, message: str):
     raise ParseError(message, tok.line, tok.column)
 
 
-def _render_literal(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return quote_string(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def save_graph(graph: model.Graph) -> str:
     lines = [f"graph {graph.name} conforms {graph.schema.name};"]
     vertex_labels = {v.id: f"v{i}" for i, v in enumerate(graph.vertices, 1)}
@@ -354,7 +344,7 @@ def _attr_store_text(element: model.Element) -> str:
     if not names:
         return ""
     body = ", ".join(
-        f"{name} = {_render_literal(element.attr(name))}" for name in names
+        f"{name} = {render_value(element.attr(name))}" for name in names
     )
     return " { " + body + " }"
 
@@ -367,7 +357,7 @@ def export_dot(graph: model.Graph) -> str:
     for i, v in enumerate(graph.vertices, 1):
         parts = [v.class_name, f"v{i}"]
         parts += [
-            f"{name} = {_render_literal(v.attr(name))}"
+            f"{name} = {render_value(v.attr(name))}"
             for name in v.attr_names()
         ]
         label = _dot_escape("\\n".join(parts))

@@ -330,25 +330,6 @@ class Vertex(Element):
             return list(self._entries)
         return [(d, e) for d, e in self._entries if d == direction]
 
-    def incident(self, direction: str = "both", classes=None) -> list[Edge]:
-        """Incident edges in incidence order, optionally class-filtered.
-
-        A class filter matches the named classes and their subclasses.
-        """
-        entries = self.incidences(direction)
-        if classes is None:
-            return [e for _, e in entries]
-        schema = self.graph.schema
-        for c in classes:
-            schema.edge_class(c)
-        return [
-            e for _, e in entries
-            if any(schema.conforms(e.class_name, c) for c in classes)
-        ]
-
-    def degree(self, classes=None) -> int:
-        return len(self.incident("both", classes))
-
 
 class Edge(Element):
     __slots__ = ("start", "end")
@@ -389,18 +370,6 @@ class Graph:
     @property
     def edges(self) -> list[Edge]:
         return list(self._edges.values())
-
-    def vertex(self, vid: int) -> Vertex:
-        v = self._vertices.get(vid)
-        if v is None:
-            raise GraphError(f"unknown or deleted vertex v{vid}")
-        return v
-
-    def edge(self, eid: int) -> Edge:
-        e = self._edges.get(eid)
-        if e is None:
-            raise GraphError(f"unknown or deleted edge e{eid}")
-        return e
 
     def create_vertex(self, class_name: str) -> Vertex:
         cls = self.schema.vertex_class(class_name)

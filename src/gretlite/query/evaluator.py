@@ -1,20 +1,28 @@
 """Evaluator for the query language.
 
-Expressions are evaluated by walking the tree, except comprehensions,
-which follow a plan (`gretlite.query.planner`), built once per node:
+`evaluate` compiles its expression into nested closures, one per node,
+each a function from a `Bindings` to the node's value, and then runs
+them.  Compiling is done once per call and resolves what the tree alone
+fixes: the builtin a call names, how an operator chain combines its
+operands (from the leftmost one up, without recursion), and the plan of
+each comprehension (`gretlite.query.planner`):
 
 * each conjunct of the `with` clause is checked right after the level that
   binds the last variable it mentions, so a partial row is dropped at its
   first conjunct that is not `true` (conjuncts over no variable are checked
   once, before the loops);
 * an equality between the newest variable and earlier ones is a hash join
-  on `value_key` over the level's domain, built once per `evaluate` call,
-  whose buckets keep domain order;
-* subexpressions over no comprehension variable are evaluated at most once
-  per `evaluate` call, on first use.
+  on `value_key` over the level's domain, whose buckets keep domain order;
+* subexpressions over no comprehension variable are computed at most once.
 
-The class specs of path steps and `degree{...}` resolve to sets of class
-names once per node and `evaluate` call.
+What depends on the graph or the bindings is computed on first use and
+then kept in a slot of the call's `_Compiler`, a list whose indexes are
+handed out while compiling: the value of each invariant subexpression,
+the index of each join, and the class names that the class specs of each
+path step and `degree{...}` resolve to.  So an unknown class, like an
+unknown function or a wrong number of arguments, fails only when it is
+evaluated, and a schema that gains classes between calls is seen by the
+next call.  Nothing outlives the call.
 
 A row is kept only if every conjunct is `true`, and rows come out in the
 order of the nested loops, so a plan changes what is computed, not the
@@ -34,13 +42,14 @@ import math
 from gretlite import model
 from gretlite.errors import GraphError, QueryError, SchemaError
 from gretlite.query import nodes as n
-from gretlite.query import planner
 from gretlite.query.parser import parse_query
+from gretlite.query.planner import Level, Plan, Planner
 from gretlite.values import (
     UNDEFINED,
     OrderedSet,
     ValueMap,
     is_collection,
+    leaves,
     to_text,
     value_equal,
     value_key,
@@ -113,7 +122,7 @@ def _require_bool(v, what: str):
 
 
 def evaluate(expr, graph: model.Graph, bindings=None):
-    return Evaluator(graph).eval(expr, _as_bindings(bindings))
+    return _Compiler(graph).compile(expr)(_as_bindings(bindings))
 
 
 def run_query(text: str, graph: model.Graph, bindings=None, **parse_kwargs):
@@ -189,334 +198,383 @@ def _step_classes(schema: model.Schema, steps) -> tuple:
     return tuple(out)
 
 
-class Evaluator:
-    """Evaluates expressions over one graph.  One evaluator serves one
-    `evaluate` call: it keeps what the whole call shares, the values of
-    invariant subexpressions, the join indexes and resolved class specs.
-    The schema does not change during a call."""
+def _element_set(graph: model.Graph, node: n.ElementSet):
+    schema = graph.schema
+    if node.kind == "V":
+        pool, lookup = graph.vertices, schema.vertex_class
+    else:
+        pool, lookup = graph.edges, schema.edge_class
+    if not node.classes:
+        return OrderedSet(pool)
+    allowed = _spec_names(schema, node.classes, lookup)
+    return OrderedSet(el for el in pool if el.class_name in allowed)
+
+
+class _Compiler:
+    """Compiles the expression of one `evaluate` call, and holds what the
+    call shares: the graph, and the slots of what is computed once."""
+
+    __slots__ = ("graph", "slots")
 
     def __init__(self, graph: model.Graph):
         self.graph = graph
-        # by id of an Invariant, a Level (its join index), a PathApply or
-        # a degree Call (their class names)
-        self._once: dict[int, object] = {}
+        self.slots: list = []
 
-    def eval(self, node, env: Bindings):
+    def compile(self, node, planner: Planner | None = None):
+        """A function from a `Bindings` to the value of `node`.  Inside a
+        comprehension, `planner` is its query's: an invariant subexpression
+        is computed once, and a nested comprehension is planned with it."""
+        if (planner is not None and planner.invariant(node)
+                and not isinstance(node, n.Literal)):
+            return self.once(self.compile(node))
         match node:
-            case n.Literal(value=v):
-                return v
+            case n.Literal(value=value):
+                return lambda env: value
             case n.VarRef(name=name):
-                return env.lookup(name)
-            case planner.Invariant(expr=expr):
-                value = self._once.get(id(node), _MISSING)
-                if value is _MISSING:
-                    value = self._once[id(node)] = self.eval(expr, env)
-                return value
-            case planner.Planned(plan=plan):
-                return self._comprehension(plan, env)
+                return lambda env: env.lookup(name)
             case n.DollarRef():
-                return env.dollar()
+                return Bindings.dollar
             case n.ElementSet():
-                return self._element_set(node)
+                graph = self.graph
+                return lambda env: _element_set(graph, node)
             case n.Comprehension():
-                plan = node.plan
-                if plan is None:
-                    plan = planner.plan(node)
-                    object.__setattr__(node, "plan", plan)
-                return self._comprehension(plan, env)
-            case n.PathApply(start=start, steps=steps):
-                value = self.eval(start, env)
-                if value is UNDEFINED:
-                    return UNDEFINED
-                classes = self._once.get(id(node))
-                if classes is None:
-                    classes = self._once[id(node)] = _step_classes(
-                        self.graph.schema, steps)
-                return eval_path(self.graph, value, steps, classes)
-            case n.Call():
-                return self._call(node, env)
-            case n.MapLit(entries=entries):
-                out = ValueMap()
-                for k, v in entries:
-                    out.put(self.eval(k, env), self.eval(v, env))
-                return out
-            case n.Unary(op=op, operand=operand):
-                return self._unary(op, self.eval(operand, env))
+                planner = planner or Planner(node)
+                return self.comprehension(planner.plan(node), planner)
             case n.Binary():
-                return self._binary(node, env)
+                return self.binary(node, planner)
+        parts = [self.compile(part, planner) for part in n.children(node)]
+        match node:
+            case n.PathApply():
+                return self.path(node, *parts)
+            case n.Call(name="degree"):
+                return self.degree(node, parts)
+            case n.Call(name=name):
+                if node.classes is not None:
+                    fn = _raiser(f"function '{name}' takes no class qualifier")
+                else:
+                    fn = _BUILTINS.get(name) or _raiser(
+                        f"unknown function '{name}'")
+                return lambda env: fn([arg(env) for arg in parts])
+            case n.MapLit():
+                def map_literal(env):
+                    values = iter([part(env) for part in parts])
+                    return ValueMap(zip(values, values))
+                return map_literal
+            case n.Unary(op=op):
+                operand, = parts
+                return lambda env: _unary(op, operand(env))
             case n.Conditional():
-                cond = _require_bool(self.eval(node.condition, env),
-                                     "conditional test")
-                if cond is UNDEFINED:
-                    return UNDEFINED
-                branch = node.then_expr if cond else node.else_expr
-                return self.eval(branch, env)
-            case n.AttrAccess(target=target, name=name):
-                value = self.eval(target, env)
-                if value is UNDEFINED:
-                    return UNDEFINED
-                if not isinstance(value, model.Element):
-                    raise QueryError(f"'.{name}' applies to graph elements")
-                try:
-                    return value.attr(name)
-                except GraphError as exc:
-                    raise QueryError(str(exc)) from None
-            case n.Index(target=target, index=index):
-                return self._index(self.eval(target, env),
-                                   self.eval(index, env))
-            case _:
-                raise QueryError(f"cannot evaluate {node!r}")
+                test, then, other = parts
 
-    def _element_set(self, node: n.ElementSet):
-        schema = self.graph.schema
-        if node.kind == "V":
-            pool, lookup = self.graph.vertices, schema.vertex_class
-        else:
-            pool, lookup = self.graph.edges, schema.edge_class
-        if not node.classes:
-            return OrderedSet(pool)
-        allowed = _spec_names(schema, node.classes, lookup)
-        return OrderedSet(el for el in pool if el.class_name in allowed)
+                def conditional(env):
+                    cond = _require_bool(test(env), "conditional test")
+                    if cond is UNDEFINED:
+                        return UNDEFINED
+                    return then(env) if cond else other(env)
+                return conditional
+            case n.AttrAccess(name=name):
+                target, = parts
+
+                def attribute(env):
+                    value = target(env)
+                    if value is UNDEFINED:
+                        return UNDEFINED
+                    if not isinstance(value, model.Element):
+                        raise QueryError(
+                            f"'.{name}' applies to graph elements")
+                    try:
+                        return value.attr(name)
+                    except GraphError as exc:
+                        raise QueryError(str(exc)) from None
+                return attribute
+            case n.Index():
+                target, index = parts
+                return lambda env: _index(target(env), index(env))
+        return _raiser(f"cannot evaluate {node!r}")
+
+    def once(self, fn):
+        """`fn`, computed on its first call and then kept for the call."""
+        slots, i = self.slots, len(self.slots)
+        slots.append(_MISSING)
+
+        def once(env, *rest):
+            value = slots[i]
+            if value is _MISSING:
+                value = slots[i] = fn(env, *rest)
+            return value
+        return once
 
     # -- comprehensions ----------------------------------------------------
 
-    def _comprehension(self, plan: planner.Plan, env: Bindings):
-        kind = plan.kind
-        if kind == "set":
-            result = OrderedSet()
-        elif kind == "map":
-            result = ValueMap()
-        else:
-            result = []
-        if not self._holds(plan.pre_checks, env, plan.what):
-            return result
-        # The nested loops, one per level, as a stack of iterators:
-        # scopes[k] is the row bound before level k, rows[k] iterates
-        # level k's candidates for it.
-        levels = plan.levels
+    def comprehension(self, plan: Plan, planner: Planner):
+        what, levels = plan.what, plan.levels
+        pre = [self.compile(c, planner) for c in plan.pre_checks]
+        candidates = [self.candidates(level, k, planner)
+                      for k, level in enumerate(levels)]
+        names = [level.name for level in levels]
+        checks = [[self.compile(c, planner) for c in level.checks]
+                  for level in levels]
+        exprs = [self.compile(e, planner) for e in plan.exprs]
+        if plan.kind == "map":
+            exprs.append(self.compile(plan.value_expr, planner))
+        project = exprs[0] if len(exprs) == 1 else (
+            lambda scope: tuple([e(scope) for e in exprs]))
+        new, add = _RESULTS[plan.kind]
         last = len(levels) - 1
-        pools = [None] * len(levels)  # the domain of each level
-        scopes = [env] * len(levels)
-        rows = [self._candidates(levels, 0, env, pools)]
-        rows.extend([None] * last)
-        k = 0
-        while k >= 0:
-            member = next(rows[k], _MISSING)
-            if member is _MISSING:
-                k -= 1
-                continue
-            level = levels[k]
-            scope = scopes[k].child({level.name: member})
-            if not self._holds(level.checks, scope, plan.what):
-                continue
-            if k < last:
-                k += 1
-                scopes[k] = scope
-                rows[k] = self._candidates(levels, k, scope, pools)
-            elif kind == "map":
-                result.put(self.eval(plan.exprs[0], scope),
-                           self.eval(plan.value_expr, scope))
-            else:
-                values = [self.eval(e, scope) for e in plan.exprs]
-                row = values[0] if len(values) == 1 else tuple(values)
-                if kind == "set":
-                    result.add(row)
+
+        def comprehension(env):
+            result = new()
+            if not _holds(pre, env, what):
+                return result
+            # The nested loops, one per level, as a stack of iterators:
+            # scopes[k] is the row bound before level k, rows[k] iterates
+            # level k's candidates for it.
+            pools = [None] * len(names)  # the domain of each level
+            scopes = [env] * len(names)
+            rows = [candidates[0](env, pools)] + [None] * last
+            k = 0
+            while k >= 0:
+                member = next(rows[k], _MISSING)
+                if member is _MISSING:
+                    k -= 1
+                    continue
+                scope = scopes[k].child({names[k]: member})
+                if not _holds(checks[k], scope, what):
+                    continue
+                if k < last:
+                    k += 1
+                    scopes[k] = scope
+                    rows[k] = candidates[k](scope, pools)
                 else:
-                    result.append(row)
-        return result
+                    add(result, project(scope))
+            return result
+        return comprehension
 
-    def _holds(self, checks, scope: Bindings, what: str) -> bool:
-        for check in checks:
-            value = self.eval(check, scope)
-            if value is not True:
-                _require_bool(value, what)
-                return False
-        return True
+    def candidates(self, level: Level, k: int, planner: Planner):
+        """A function from the row bound before level k, and the domains
+        of the levels so far, to an iterator over what level k may bind."""
+        names, join = level.decl.names, level.join
+        domain = (None if level.domain is None
+                  else self.compile(level.domain, planner))
+        if join is not None:
+            key = self.compile(join.key, planner)
+            probe = self.compile(join.probe, planner)
+            index = self.once(lambda scope, pool: _join_index(
+                key, level.name, pool, scope))
 
-    def _candidates(self, levels, k: int, scope: Bindings, pools):
-        """An iterator over the members level k may bind after `scope`."""
-        level = levels[k]
-        if level.domain is not None:  # the first name of its group
-            domain = self.eval(level.domain, scope)
-            if not is_collection(domain):
-                raise QueryError(
-                    f"declaration domain of {', '.join(level.decl.names)} "
-                    "must be a collection"
-                )
-            # collections are never changed once built, and an invariant
-            # domain is one value for the whole call: share it, uncopied
-            pools[k:k + len(level.decl.names)] = [domain] * len(
-                level.decl.names)
-        join = level.join
-        if join is None:
-            return iter(pools[k])
-        probe = self.eval(join.probe, scope)
-        if probe is UNDEFINED:
-            return iter(())
-        index = self._once.get(id(level))
-        if index is None:
-            index = self._once[id(level)] = self._join_index(
-                level, pools[k], scope)
-        return iter(index.get(value_key(probe), ()))
+        def candidates(scope, pools):
+            if domain is not None:  # the first name of its group
+                pool = domain(scope)
+                if not is_collection(pool):
+                    raise QueryError(
+                        f"declaration domain of {', '.join(names)} "
+                        "must be a collection"
+                    )
+                # collections are never changed once built, and an
+                # invariant domain is one value for the whole call: share
+                # it, uncopied
+                pools[k:k + len(names)] = [pool] * len(names)
+            if join is None:
+                return iter(pools[k])
+            value = probe(scope)
+            if value is UNDEFINED:
+                return iter(())
+            return iter(index(scope, pools[k]).get(value_key(value), ()))
+        return candidates
 
-    def _join_index(self, level: planner.Level, pool, scope: Bindings):
-        """The members of `pool` by the `value_key` of the join's key side,
-        each bucket in domain order; an undefined key matches nothing."""
-        index: dict = {}
-        for member in pool:
-            key = self.eval(level.join.key, scope.child({level.name: member}))
-            if key is not UNDEFINED:
-                index.setdefault(value_key(key), []).append(member)
-        return index
+    # -- operators, paths and calls ----------------------------------------
 
-    # -- operators ---------------------------------------------------------
-
-    def _unary(self, op: str, value):
-        if value is UNDEFINED:
-            return UNDEFINED
-        if op == "neg":
-            if not _is_number(value):
-                raise QueryError("unary '-' expects a number")
-            return -value
-        if not isinstance(value, bool):
-            raise QueryError("'not' expects a boolean")
-        return not value
-
-    def _binary(self, node: n.Binary, env: Bindings):
+    def binary(self, node: n.Binary, planner: Planner | None):
         op = node.op
         if op in _COMPARISONS:
-            return self._compare(op, self.eval(node.left, env),
-                                 self.eval(node.right, env))
+            left = self.compile(node.left, planner)
+            right = self.compile(node.right, planner)
+            return lambda env: _compare(op, left(env), right(env))
         # A left-associative chain such as `a + b - c` or `a and b or c`
-        # is a left spine of one operator family; walk it from the
-        # leftmost operand up instead of recursing down it.
+        # is a left spine of one operator family; compile it from the
+        # leftmost operand up instead of recursing down it.  An invariant
+        # part of the spine is an operand of its own, computed once.
         logic = op in _LOGIC
         chain = []
         while (isinstance(node, n.Binary) and node.op not in _COMPARISONS
-               and (node.op in _LOGIC) == logic):
+               and (node.op in _LOGIC) == logic
+               and not (chain and planner and planner.invariant(node))):
             chain.append(node)
             node = node.left
-        value = self.eval(node, env)
-        if logic:
-            value = _require_bool(value, f"'{chain[-1].op}' operand")
-        for link in reversed(chain):
-            if logic:
-                value = self._logic(link, value, env)
-                continue
-            right = self.eval(link.right, env)
-            if link.op != "++":
-                value = self._arith(link.op, value, right)
-            elif value is UNDEFINED or right is UNDEFINED:
-                value = UNDEFINED
-            else:
-                value = to_text(value) + to_text(right)
-        return value
+        first = self.compile(node, planner)
+        links = [(link.op, self.compile(link.right, planner))
+                 for link in reversed(chain)]
+        if not logic:
+            def arithmetic(env):
+                value = first(env)
+                for op, right in links:
+                    value = _arith(op, value, right(env))
+                return value
+            return arithmetic
+        what = f"'{chain[-1].op}' operand"
 
-    def _logic(self, link: n.Binary, left, env: Bindings):
-        op = link.op
-        if op == "and" and left is False:
+        def logical(env):
+            value = _require_bool(first(env), what)
+            for op, right in links:
+                value = _logic(op, value, right, env)
+            return value
+        return logical
+
+    def path(self, node: n.PathApply, start):
+        steps, graph = node.steps, self.graph
+        classes = self.once(lambda env: _step_classes(graph.schema, steps))
+
+        def path(env):
+            value = start(env)
+            if value is UNDEFINED:
+                return UNDEFINED
+            return eval_path(graph, value, steps, classes(env))
+        return path
+
+    def degree(self, node: n.Call, args):
+        graph, specs = self.graph, node.classes
+        allowed = self.once(lambda env: _spec_names(
+            graph.schema, specs, graph.schema.edge_class) if specs else None)
+
+        def degree(env):
+            values = [arg(env) for arg in args]
+            _arity("degree", values, 1)
+            v = values[0]
+            if not isinstance(v, model.Vertex):
+                raise QueryError("degree expects a vertex")
+            names = allowed(env)
+            return sum(1 for _, edge in v.incidences("both")
+                       if names is None or edge.class_name in names)
+        return degree
+
+
+# per comprehension kind: the type of its result, and how a row is added
+_RESULTS = {"list": (list, list.append), "set": (OrderedSet, OrderedSet.add),
+            "map": (ValueMap, lambda result, entry: result.put(*entry))}
+
+
+def _raiser(message: str):
+    """A function that raises `message`: an unknown function, say, is an
+    error of evaluating the call, not of compiling it."""
+    def fail(*_):
+        raise QueryError(message)
+    return fail
+
+
+def _join_index(key, name: str, pool, scope: Bindings) -> dict:
+    """The members of `pool` by the `value_key` of `key` with `name` bound
+    to them, each bucket in domain order; an undefined key matches
+    nothing."""
+    index: dict = {}
+    for member in pool:
+        found = key(scope.child({name: member}))
+        if found is not UNDEFINED:
+            index.setdefault(value_key(found), []).append(member)
+    return index
+
+
+def _holds(checks, scope: Bindings, what: str) -> bool:
+    for check in checks:
+        value = check(scope)
+        if value is not True:
+            _require_bool(value, what)
             return False
-        if op == "or" and left is True:
-            return True
-        right = _require_bool(self.eval(link.right, env), f"'{op}' operand")
-        if right is UNDEFINED or left is UNDEFINED:
-            # three-valued logic: a definite right answer may still decide
-            if op == "and":
-                return False if right is False else UNDEFINED
-            return True if right is True else UNDEFINED
-        return right
+    return True
 
-    def _compare(self, op: str, left, right):
-        if left is UNDEFINED or right is UNDEFINED:
-            return False
-        if op == "=":
-            return value_equal(left, right)
-        if op == "<>":
-            return not value_equal(left, right)
-        if _is_number(left) and _is_number(right):
-            pass
-        elif isinstance(left, str) and isinstance(right, str):
-            pass
-        else:
-            raise QueryError(f"'{op}' expects two numbers or two strings")
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
 
-    def _arith(self, op: str, left, right):
-        if left is UNDEFINED or right is UNDEFINED:
-            return UNDEFINED
-        if not (_is_number(left) and _is_number(right)):
-            raise QueryError(f"'{op}' expects numbers")
-        if op == "/":
-            if right == 0:
-                raise QueryError("division by zero")
-            result = left / right
-        elif op == "%":
-            if not (isinstance(left, int) and isinstance(right, int)):
-                raise QueryError("'%' expects integers")
-            if right == 0:
-                raise QueryError("division by zero")
-            result = left % right
-        elif op == "+":
-            result = left + right
-        elif op == "-":
-            result = left - right
-        else:
-            result = left * right
-        if isinstance(result, float) and math.isnan(result):
-            return UNDEFINED
-        return result
+# -- operators ----------------------------------------------------------------
 
-    def _index(self, target, index):
-        if target is UNDEFINED:
-            return UNDEFINED
-        if not isinstance(target, (tuple, list)):
-            raise QueryError("indexing applies to tuples and lists")
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise QueryError("index must be an integer")
-        if index < 0 or index >= len(target):
-            raise QueryError(
-                f"index {index} out of range for length {len(target)}"
-            )
-        return target[index]
+def _unary(op: str, value):
+    if value is UNDEFINED:
+        return UNDEFINED
+    if op == "neg":
+        if not _is_number(value):
+            raise QueryError("unary '-' expects a number")
+        return -value
+    if not isinstance(value, bool):
+        raise QueryError("'not' expects a boolean")
+    return not value
 
-    # -- function calls ----------------------------------------------------
 
-    def _call(self, node: n.Call, env: Bindings):
-        args = [self.eval(a, env) for a in node.args]
-        name = node.name
-        if node.classes is not None and name != "degree":
-            raise QueryError(f"function '{name}' takes no class qualifier")
-        if name == "degree":
-            return self._degree(node, args)
-        fn = _BUILTINS.get(name)
-        if fn is None:
-            raise QueryError(f"unknown function '{name}'")
-        return fn(self, args)
+def _logic(op: str, left, right, env: Bindings):
+    if op == "and" and left is False:
+        return False
+    if op == "or" and left is True:
+        return True
+    right = _require_bool(right(env), f"'{op}' operand")
+    if right is UNDEFINED or left is UNDEFINED:
+        # three-valued logic: a definite right answer may still decide
+        if op == "and":
+            return False if right is False else UNDEFINED
+        return True if right is True else UNDEFINED
+    return right
 
-    def _degree(self, node: n.Call, args):
-        _arity("degree", args, 1)
-        v = args[0]
-        if not isinstance(v, model.Vertex):
-            raise QueryError("degree expects a vertex")
-        allowed = None
-        if node.classes:
-            allowed = self._once.get(id(node))
-            if allowed is None:
-                schema = self.graph.schema
-                allowed = self._once[id(node)] = _spec_names(
-                    schema, node.classes, schema.edge_class)
-        count = 0
-        for _, edge in v.incidences("both"):
-            if allowed is None or edge.class_name in allowed:
-                count += 1
-        return count
 
+def _compare(op: str, left, right):
+    if left is UNDEFINED or right is UNDEFINED:
+        return False
+    if op == "=":
+        return value_equal(left, right)
+    if op == "<>":
+        return not value_equal(left, right)
+    if _is_number(left) and _is_number(right):
+        pass
+    elif isinstance(left, str) and isinstance(right, str):
+        pass
+    else:
+        raise QueryError(f"'{op}' expects two numbers or two strings")
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == ">":
+        return left > right
+    return left >= right
+
+
+def _arith(op: str, left, right):
+    if left is UNDEFINED or right is UNDEFINED:
+        return UNDEFINED
+    if op == "++":
+        return to_text(left) + to_text(right)
+    if not (_is_number(left) and _is_number(right)):
+        raise QueryError(f"'{op}' expects numbers")
+    if op == "/":
+        if right == 0:
+            raise QueryError("division by zero")
+        result = left / right
+    elif op == "%":
+        if not (isinstance(left, int) and isinstance(right, int)):
+            raise QueryError("'%' expects integers")
+        if right == 0:
+            raise QueryError("division by zero")
+        result = left % right
+    elif op == "+":
+        result = left + right
+    elif op == "-":
+        result = left - right
+    else:
+        result = left * right
+    if isinstance(result, float) and math.isnan(result):
+        return UNDEFINED
+    return result
+
+
+def _index(target, index):
+    if target is UNDEFINED:
+        return UNDEFINED
+    if not isinstance(target, (tuple, list)):
+        raise QueryError("indexing applies to tuples and lists")
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise QueryError("index must be an integer")
+    if index < 0 or index >= len(target):
+        raise QueryError(
+            f"index {index} out of range for length {len(target)}"
+        )
+    return target[index]
+
+
+# -- builtin functions --------------------------------------------------------
 
 def _arity(name, args, low, high=None):
     high = low if high is None else high
@@ -524,7 +582,7 @@ def _arity(name, args, low, high=None):
         raise QueryError(f"function '{name}' called with {len(args)} arguments")
 
 
-def _builtin_count(ev, args):
+def _builtin_count(args):
     _arity("count", args, 1)
     coll = args[0]
     if not (is_collection(coll) or isinstance(coll, ValueMap)):
@@ -532,7 +590,7 @@ def _builtin_count(ev, args):
     return len(coll)
 
 
-def _builtin_the_element(ev, args):
+def _builtin_the_element(args):
     _arity("theElement", args, 1)
     coll = args[0]
     if not is_collection(coll):
@@ -544,7 +602,7 @@ def _builtin_the_element(ev, args):
     return next(iter(coll))
 
 
-def _builtin_contains(ev, args):
+def _builtin_contains(args):
     _arity("contains", args, 2)
     coll, needle = args
     if isinstance(coll, OrderedSet):
@@ -554,7 +612,7 @@ def _builtin_contains(ev, args):
     raise QueryError("contains expects a collection")
 
 
-def _builtin_is_empty(ev, args):
+def _builtin_is_empty(args):
     _arity("isEmpty", args, 1)
     coll = args[0]
     if not (is_collection(coll) or isinstance(coll, ValueMap)):
@@ -562,31 +620,21 @@ def _builtin_is_empty(ev, args):
     return len(coll) == 0
 
 
-def _builtin_key_set(ev, args):
+def _builtin_key_set(args):
     _arity("keySet", args, 1)
     if not isinstance(args[0], ValueMap):
         raise QueryError("keySet expects a map")
     return OrderedSet(args[0].keys())
 
 
-def _builtin_flatten(ev, args):
+def _builtin_flatten(args):
     _arity("flatten", args, 1)
     if not is_collection(args[0]):
         raise QueryError("flatten expects a collection")
-    out = []
-
-    def walk(v):
-        if is_collection(v):
-            for member in v:
-                walk(member)
-        else:
-            out.append(v)
-
-    walk(args[0])
-    return out
+    return list(leaves(args[0]))
 
 
-def _builtin_has_type(ev, args):
+def _builtin_has_type(args):
     _arity("hasType", args, 2)
     el, name = args
     if not isinstance(el, model.Element):
@@ -600,7 +648,7 @@ def _builtin_has_type(ev, args):
 
 
 def _edge_endpoint(which):
-    def fn(ev, args):
+    def fn(args):
         _arity(which, args, 1)
         if not isinstance(args[0], model.Edge):
             raise QueryError(f"{which} expects an edge")
@@ -619,7 +667,7 @@ _BUILTINS = {
     "hasType": _builtin_has_type,
     "startVertex": _edge_endpoint("startVertex"),
     "endVertex": _edge_endpoint("endVertex"),
-    "set": lambda ev, args: OrderedSet(args),
-    "list": lambda ev, args: list(args),
-    "tup": lambda ev, args: tuple(args),
+    "set": lambda args: OrderedSet(args),
+    "list": lambda args: list(args),
+    "tup": lambda args: tuple(args),
 }

@@ -1,12 +1,8 @@
-"""AST node types for the query language.
-
-A comprehension carries a memo that evaluation fills in, its plan; it
-takes no part in equality, hashing or repr.
-"""
+"""AST node types for the query language."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,6 @@ class Comprehension:
     kind: str  # "list", "set", "map"
     exprs: tuple = ()  # report projections; for "map" the key expression
     value_expr: object | None = None  # mapped value for "map"
-    # gretlite.query.planner.Plan
-    plan: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,18 @@ plan says what the evaluator checks at each level:
   The domain must mention no comprehension variable of the query, so
   the evaluator builds the index once per `evaluate` call.  Any other
   `=` stays a check.
-* Invariants.  A subexpression that mentions no variable declared by any
-  comprehension of the query is wrapped in `Invariant` and evaluated at
-  most once per `evaluate` call, on first use.
-* Nested comprehensions are planned with the enclosing one (`Planned`),
-  since what is invariant depends on the whole query.
+* Invariants.  `Planner.invariant` tells which subexpressions mention no
+  variable declared by any comprehension of the query; the evaluator
+  computes each largest one that is not a literal at most once per
+  `evaluate` call, on first use.
+* A `Planner` is made for the outermost comprehension of a query, its
+  root, and plans the nested ones too, since what is invariant depends
+  on the whole query.
 
-A plan depends on the tree alone, not on the graph or the bindings, so a
-comprehension that evaluation reaches outside every other plan keeps its
-plan on the node.  All walks here use explicit stacks; only nested
-comprehensions recurse, and the parser bounds their depth.
+A plan holds the parsed nodes themselves and depends on the tree alone,
+not on the graph or the bindings; the evaluator turns it into closures
+(`gretlite.query.evaluator`).  All walks here use explicit stacks; only
+nested comprehensions recurse, and the parser bounds their depth.
 """
 
 from __future__ import annotations
@@ -40,24 +42,6 @@ _NONE = frozenset()
 
 # Plain classes: creating a dataclass costs most of a millisecond at
 # import, and import time is part of every run's start-up.
-
-class Invariant:
-    """A subexpression over no comprehension variable of its query."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        self.expr = expr
-
-
-class Planned:
-    """A nested comprehension, planned together with the enclosing one."""
-
-    __slots__ = ("plan",)
-
-    def __init__(self, plan: Plan):
-        self.plan = plan
-
 
 class Join:
     """A hash index over a level's domain, built once per `evaluate`."""
@@ -76,7 +60,7 @@ class Level:
 
     def __init__(self, name: str, decl: n.DeclGroup, domain):
         self.name = name
-        self.decl = decl  # as written
+        self.decl = decl
         self.domain = domain  # the group's domain, on its first name only
         self.checks = ()  # its conjuncts in source order, without the join
         self.join: Join | None = None
@@ -96,11 +80,6 @@ class Plan:
         # the label of a conjunct that is neither boolean nor undefined:
         # the whole clause, or one operand of its `and` chain
         self.what = what
-
-
-def plan(node: n.Comprehension) -> Plan:
-    """Plan `node` as the outermost comprehension of its query."""
-    return _Planner(node).plan(node)
 
 
 def conjuncts(condition) -> list:
@@ -156,7 +135,10 @@ def _declared(root) -> frozenset:
     return frozenset(names)
 
 
-class _Planner:
+class Planner:
+    """Plans the comprehensions of the query whose outermost comprehension
+    is `root`; the nodes it is asked about must lie within `root`."""
+
     def __init__(self, root: n.Comprehension):
         self.free = free_variables(root)
         self.declared = _declared(root)
@@ -165,13 +147,14 @@ class _Planner:
         return self.free[id(node)].isdisjoint(self.declared)
 
     def plan(self, node: n.Comprehension) -> Plan:
+        """The plan of `node`: `root` or a comprehension within it."""
         levels: list[Level] = []
         level_of: dict[str, int] = {}  # name -> its last declaring level
         for group in node.decls:
-            domain = self.rewrite(group.domain)
             for i, name in enumerate(group.names):
                 level_of[name] = len(levels)
-                levels.append(Level(name, group, domain if i == 0 else None))
+                levels.append(
+                    Level(name, group, group.domain if i == 0 else None))
 
         placed: list[list] = [[] for _ in levels]
         pre = []
@@ -188,15 +171,14 @@ class _Planner:
                     if level.join is not None:
                         rest = [c for c in rest if c is not conjunct]
                         break
-            level.checks = tuple(self.rewrite(c) for c in rest)
+            level.checks = tuple(rest)
 
         return Plan(
             kind=node.kind,
             levels=tuple(levels),
-            pre_checks=tuple(self.rewrite(c) for c in pre),
-            exprs=tuple(self.rewrite(e) for e in node.exprs),
-            value_expr=(None if node.value_expr is None
-                        else self.rewrite(node.value_expr)),
+            pre_checks=tuple(pre),
+            exprs=node.exprs,
+            value_expr=node.value_expr,
             what="'and' operand" if len(split) > 1 else "with-clause",
         )
 
@@ -218,56 +200,5 @@ class _Planner:
                     and self.free[id(key)].isdisjoint(self.declared - {name})
                     and all(j < k for j in self.mentioned(probe, level_of))
                     and not self.invariant(probe)):
-                return Join(self.rewrite(key), self.rewrite(probe))
+                return Join(key, probe)
         return None
-
-    def rewrite(self, expr):
-        """`expr` as evaluated: each largest invariant subexpression that
-        is not a literal wrapped in `Invariant`, and each nested
-        comprehension planned.  Subtrees with neither are kept as they
-        are."""
-        done: dict[int, object] = {}
-        stack = [(expr, False)]
-        while stack:
-            node, ready = stack.pop()
-            if id(node) in done:
-                continue
-            if self.invariant(node):
-                done[id(node)] = (node if isinstance(node, n.Literal)
-                                  else Invariant(node))
-            elif isinstance(node, n.Comprehension):
-                done[id(node)] = Planned(self.plan(node))
-            elif not ready:
-                stack.append((node, True))
-                stack.extend((part, False) for part in n.children(node))
-            else:
-                parts = n.children(node)
-                new = [done[id(part)] for part in parts]
-                if all(a is b for a, b in zip(new, parts)):
-                    done[id(node)] = node
-                else:
-                    done[id(node)] = _rebuild(node, new)
-        return done[id(expr)]
-
-
-def _rebuild(node, parts: list):
-    """A copy of `node` with the subexpressions `parts`, in the order
-    `nodes.children` lists them."""
-    match node:
-        case n.Binary():
-            return n.Binary(node.op, *parts)
-        case n.Call():
-            return n.Call(node.name, node.classes, tuple(parts))
-        case n.PathApply():
-            return n.PathApply(parts[0], node.steps)
-        case n.AttrAccess():
-            return n.AttrAccess(parts[0], node.name)
-        case n.Unary():
-            return n.Unary(node.op, parts[0])
-        case n.Conditional():
-            return n.Conditional(*parts)
-        case n.Index():
-            return n.Index(*parts)
-        case n.MapLit():
-            return n.MapLit(tuple(zip(parts[::2], parts[1::2])))
-    raise TypeError(f"cannot rebuild {type(node).__name__}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from gretlite.transform.engine import TraceabilityMap
 from gretlite.values import ValueMap, render_value
 
 
@@ -20,8 +19,9 @@ def render_result(value) -> str:
     return render_value(value) + "\n"
 
 
-def trace_report(trace: TraceabilityMap) -> str:
-    """One `Class: archetype -> element` line per traceability entry."""
+def trace_report(trace) -> str:
+    """One `Class: archetype -> element` line per entry of `trace`, a
+    `TraceabilityMap`."""
     lines = []
     for class_name in trace.classes():
         for archetype, element in trace.entries(class_name):

@@ -19,6 +19,7 @@ from gretlite.values import (
     OrderedSet,
     ValueMap,
     is_collection,
+    leaves,
     render_value,
     value_key,
 )
@@ -177,8 +178,6 @@ def execute(transformation: ops.Transformation,
     for index, op in enumerate(transformation.ops, start=1):
         try:
             count = _run_op(ctx, op, round_limit)
-        except TransformError as exc:
-            raise TransformError(f"op {index}: {exc}") from exc
         except GretliteError as exc:
             raise TransformError(f"op {index}: {exc}") from exc
         ctx.result.op_counts.append((type(op).__name__, count))
@@ -302,19 +301,6 @@ def _create_template_edges(ctx, template: ops.Template, aliases, dollar):
         _apply_assigns(ctx, edge, te.assigns, dollar)
 
 
-def _leaves(value):
-    """The members of `value` that are not collections, depth first.
-
-    MatchReplace skips the leaves that are not graph elements; Delete
-    rejects them.
-    """
-    if is_collection(value):
-        for member in value:
-            yield from _leaves(member)
-    else:
-        yield value
-
-
 def _match_replace(ctx, op: ops.MatchReplace) -> int:
     if not ctx.in_place:
         raise TransformError("MatchReplace requires in-place execution")
@@ -325,7 +311,7 @@ def _match_replace(ctx, op: ops.MatchReplace) -> int:
     stats = MatchReplaceStats(0, 0, [])
     for match in matches:
         elements = list({
-            id(el): el for el in _leaves(match)
+            id(el): el for el in leaves(match)
             if isinstance(el, model.Element)
         }.values())
         if any(id(el) in touched or not el.alive for el in elements):
@@ -388,7 +374,7 @@ def _delete(ctx, op: ops.Delete) -> int:
     value = ctx.eval(op.query)
     if not is_collection(value):
         raise TransformError("Delete expects its query to yield a collection")
-    flat = list(_leaves(value))
+    flat = list(leaves(value))
     for el in flat:
         if not isinstance(el, model.Element):
             raise TransformError(

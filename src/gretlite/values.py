@@ -62,6 +62,16 @@ def is_collection(v) -> bool:
     return isinstance(v, (OrderedSet, list, tuple))
 
 
+def leaves(value):
+    """The members of `value` that are not collections, depth first; a
+    value that is not a collection is its own one leaf."""
+    if is_collection(value):
+        for member in value:
+            yield from leaves(member)
+    else:
+        yield value
+
+
 class OrderedSet:
     """Duplicate-free collection with insertion-order iteration."""
 

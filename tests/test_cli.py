@@ -162,6 +162,42 @@ def test_non_decimal_digit_is_a_user_error(workdir, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("role", ["schema", "graph", "query"])
+def test_non_utf8_input_is_a_user_error(workdir, capsys, role):
+    paths = {"schema": workdir / "graph1.gls", "graph": workdir / "sample1.glg",
+             "query": workdir / "04-count-nodes.grq"}
+    bad = paths[role]
+    text = bad.read_bytes()
+    # a 0xff byte, which UTF-8 never uses, inside a string literal
+    bad.write_bytes(text + b'"\xff"\n')
+    offset = len(text) + 1
+    code = main(["query", *map(str, paths.values())])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "internal error" not in err
+    assert f"{bad}: not UTF-8 text (byte offset {offset})" in err
+
+
+_IMPORTS = """
+import sys
+import gretlite.cli
+print(sorted(m for m in sys.modules
+             if m in ("gretlite.transform", "gretlite.corpus")))
+gretlite.cli.main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m == "gretlite.transform"))
+"""
+
+
+def test_query_imports_neither_transform_nor_corpus(workdir):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORTS, "query", str(workdir / "graph1.gls"),
+         str(workdir / "sample1.glg"), str(workdir / "04-count-nodes.grq")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n6\n[]\n"
+
+
 def test_trace_clash_report_ignores_hash_seed(tmp_path):
     parents = ["Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta"]
     (tmp_path / "s.gls").write_text(

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gretlite.errors import GraphError, SchemaError
+from gretlite.errors import GraphError, QueryError, SchemaError
 from gretlite.model import AttrType, Graph, Schema
+from gretlite.query import run_query
 
 import genutil
 import oracles
@@ -251,16 +252,16 @@ class TestTypeTests:
 class TestIncidence:
     def test_isolated_has_none(self):
         g = Graph(make_schema())
-        assert g.create_vertex("Node").incident("both") == []
+        assert g.create_vertex("Node").incidences("both") == []
 
     def test_single_outgoing(self):
         g = Graph(make_schema())
         ev = g.create_vertex("Edge_")
         n = g.create_vertex("Node")
         e = g.create_edge("Edge_LinksToSrc", ev, n)
-        assert ev.incident("out") == [e]
-        assert ev.incident("in") == []
-        assert n.incident("both") == [e]
+        assert ev.incidences("out") == [("out", e)]
+        assert ev.incidences("in") == []
+        assert n.incidences("both") == [("in", e)]
 
     def test_order_is_creation_order(self):
         g = Graph(make_schema())
@@ -268,23 +269,25 @@ class TestIncidence:
         n = g.create_vertex("Node")
         e1 = g.create_edge("Edge_LinksToSrc", ev, n)
         e2 = g.create_edge("Edge_LinksToTrg", ev, n)
-        assert ev.incident("both") == [e1, e2]
+        assert ev.incidences("both") == [("out", e1), ("out", e2)]
 
     def test_class_filter_includes_subclasses(self):
         s = Schema("t")
         s.define_vertex_class("A")
         s.define_edge_class("Base", "A", "A")
         s.define_edge_class("Special", "A", "A", supertypes=["Base"])
+        s.define_edge_class("Other", "A", "A")
         g = Graph(s)
         v, w = g.create_vertex("A"), g.create_vertex("A")
-        e = g.create_edge("Special", v, w)
-        assert v.incident("both", ["Base"]) == [e]
+        g.create_edge("Special", v, w)
+        g.create_edge("Other", w, v)
+        assert run_query("degree{Base}(x)", g, {"x": v}) == 1
 
     def test_unknown_filter_class(self):
         g = Graph(make_schema())
         n = g.create_vertex("Node")
-        with pytest.raises(SchemaError):
-            n.incident("both", ["Nope"])
+        with pytest.raises(QueryError, match="Nope"):
+            run_query("degree{Nope}(x)", g, {"x": n})
 
     def test_loop_appears_twice(self):
         s = Schema("t")
@@ -293,8 +296,8 @@ class TestIncidence:
         g = Graph(s)
         v = g.create_vertex("A")
         e = g.create_edge("E", v, v)
-        assert v.incident("both") == [e, e]
-        assert v.degree() == 2
+        assert v.incidences("both") == [("out", e), ("in", e)]
+        assert run_query("degree(x)", g, {"x": v}) == 2
 
 
 def test_determinism_same_op_sequence():

@@ -156,7 +156,7 @@ def _where(plan):
 def test_placement_of_circle_of_three():
     query = parse_query(corpus.read_text("07-circle-of-three.grq"))
     comprehension = query.args[1]
-    plan = planner.plan(comprehension)
+    plan = planner.Planner(comprehension).plan(comprehension)
     c = planner.conjuncts(comprehension.condition)
     assert len(c) == 6
     # n1 <> n2, n1 <> n3, n2 <> n3, contains(n1..n2), (n2..n3), (n3..n1)
@@ -172,7 +172,7 @@ def test_placement_of_circle_of_three():
 def test_placement_of_reverse_edges():
     script = parse_script(corpus.read_text("09-reverse-edges.grt"))
     comprehension = script.ops[0].query
-    plan = planner.plan(comprehension)
+    plan = planner.Planner(comprehension).plan(comprehension)
     c = planner.conjuncts(comprehension.condition)
     # startVertex(s) = e: the index is keyed by the left side
     assert _where(plan) == {"e": ((), None),
@@ -183,7 +183,8 @@ def test_placement_of_reverse_edges():
 def test_placement_of_transitive_edges():
     script = parse_script(corpus.read_text("14-insert-transitive-edges.grt"))
     comprehension = script.ops[0].body[0].query
-    plan = planner.plan(comprehension)
+    query = planner.Planner(comprehension)
+    plan = query.plan(comprehension)
     c = planner.conjuncts(comprehension.condition)
     # endVertex(e1) = startVertex(e2), not contains(.., e1),
     # not contains(.., e2), isEmpty(from e3 ...)
@@ -193,24 +194,26 @@ def test_placement_of_transitive_edges():
     # not contains(keySet(arch_...), e1), with keySet(...) evaluated once
     # per call
     for level, conjunct in ((e1, c[1]), (e2, c[2])):
-        check = level.checks[0].operand
-        invariant, variable = check.args
-        assert isinstance(invariant, planner.Invariant)
-        assert (invariant.expr, variable) == conjunct.operand.args
+        assert level.checks[0] is conjunct
+        invariant, variable = conjunct.operand.args
+        assert query.invariant(invariant)
+        assert not query.invariant(variable)
     assert len(e1.checks) == 1
     # the inner comprehension joins e3 on startVertex(e1)
     assert len(e2.checks) == 2
     inner = e2.checks[1].args[0]
-    assert isinstance(inner, planner.Planned)
-    inner_c = planner.conjuncts(c[3].args[0].condition)
-    assert _where(inner.plan) == {
+    assert inner is c[3].args[0]
+    inner_c = planner.conjuncts(inner.condition)
+    inner_plan = query.plan(inner)
+    assert _where(inner_plan) == {
         "e3": ((inner_c[1],), (inner_c[0].left, inner_c[0].right))}
-    assert isinstance(inner.plan.levels[0].domain, planner.Invariant)
+    assert query.invariant(inner_plan.levels[0].domain)
 
 
 def test_constant_probe_is_a_filter_and_constant_conjunct_runs_first():
-    plan = planner.plan(parse_query(
-        'from n : V{Node} with 1 = 1 and n.name = "n1" report n end'))
+    query = parse_query(
+        'from n : V{Node} with 1 = 1 and n.name = "n1" report n end')
+    plan = planner.Planner(query).plan(query)
     assert len(plan.pre_checks) == 1
     assert plan.levels[0].join is None
     assert len(plan.levels[0].checks) == 1
@@ -224,8 +227,8 @@ def test_constant_probe_is_a_filter_and_constant_conjunct_runs_first():
 ])
 def test_equalities_an_index_per_call_cannot_serve_are_checks(inner):
     # one index per evaluate call is the only kind there is
-    plan = planner.plan(parse_query(f"from x : V{{Node}} report {inner} end"))
-    levels = plan.exprs[0].plan.levels
+    outer = parse_query(f"from x : V{{Node}} report {inner} end")
+    levels = planner.Planner(outer).plan(outer.exprs[0]).levels
     assert [level.join for level in levels] == [None, None]
     assert len(levels[1].checks) == 1
 
@@ -259,13 +262,13 @@ def test_circle_of_three_binds_fewer_rows_than_the_cross_product(
 
 def test_invariants_are_evaluated_once_per_call(sample1, monkeypatch):
     calls = []
-    element_set = ev.Evaluator._element_set
+    element_set = ev._element_set
 
-    def counting(self, node):
+    def counting(graph, node):
         calls.append(node)
-        return element_set(self, node)
+        return element_set(graph, node)
 
-    monkeypatch.setattr(ev.Evaluator, "_element_set", counting)
+    monkeypatch.setattr(ev, "_element_set", counting)
     run_query("from a : V{Node}, b : V{Node} with count(V{Edge_}) > 0 "
               "report tup(a, b) end", sample1)
     # V{Node} twice and V{Edge_}; nested loops took 1 + 6 + 1
@@ -330,6 +333,20 @@ def test_join_key_errors_surface_when_the_index_is_built(empty_graph):
         run_query("from x : list(1), y : list(1, 2) "
                   "with y = 3 and startVertex(y) = x report y end",
                   empty_graph)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("false ? mystery(1) : 2", 2),
+    ("from x : list() report count(x, x) end", []),
+    ("false and count{Node}(set()) = 1", False),
+    ("from v : V{Node} report degree{Nope}(v) end", []),
+    ("from v : V{Node} report v -->{Nope} end", []),
+])
+def test_errors_are_raised_when_evaluated_not_when_compiled(
+        empty_graph, text, expected):
+    # an unknown function, a wrong arity, a class qualifier on a function
+    # that takes none, and an unknown class, each where it never runs
+    assert run_query(text, empty_graph) == expected
 
 
 def test_non_boolean_conjuncts_name_the_clause(empty_graph):
