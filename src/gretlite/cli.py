@@ -22,11 +22,10 @@ class UsageError(GretliteError):
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"no such file: {path}")
     try:
-        return p.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(
             f"{path}: not UTF-8 text (byte offset {exc.start})") from None
@@ -87,11 +86,8 @@ def cmd_transform(args) -> int:
                 )
             source_schema = load_schema(_read(args.source_schema))
         source = load_graph(_read(args.source), source_schema)
-    result = execute(
-        transformation, source,
-        target_schema=None if args.in_place else target_schema,
-        in_place=args.in_place,
-    )
+    result = execute(transformation, source, target_schema=target_schema,
+                     in_place=args.in_place)
     outputs = [(args.out, save_graph(result.graph))]
     if args.trace is not None:
         outputs.append((args.trace, trace_report(result.trace)))

@@ -111,8 +111,7 @@ def run_task(spec: TaskSpec, root=None) -> TaskResult:
         source = execute(setup, target_schema=schema).graph
     if spec.script is not None:
         transformation = parse_script(read_text(spec.script, root))
-        run = execute(transformation, source,
-                      target_schema=None if spec.in_place else schema,
+        run = execute(transformation, source, target_schema=schema,
                       in_place=spec.in_place)
         if spec.golden_graph is not None:
             result.outputs[spec.golden_graph] = save_graph(run.graph)

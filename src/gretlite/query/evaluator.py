@@ -79,8 +79,8 @@ class Bindings:
         self._fallback = fallback
         self._dollar = dollar
 
-    def child(self, variables=None, dollar=_MISSING):
-        return Bindings(variables, parent=self, dollar=dollar)
+    def child(self, variables=None):
+        return Bindings(variables, parent=self)
 
     def lookup(self, name: str):
         scope = self

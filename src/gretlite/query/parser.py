@@ -294,7 +294,7 @@ class QueryParser:
         return tok.text
 
 
-def check_bindings(expr, is_external=None):
+def check_bindings(expr, is_external):
     """Static scoping check: flag variable references bound by nothing.
 
     Walks the tree in source order with an explicit stack, so the first
@@ -307,7 +307,7 @@ def check_bindings(expr, is_external=None):
         parts = n.children(node)
         if isinstance(node, n.VarRef):
             name = node.name
-            if name not in scope and not (is_external and is_external(name)):
+            if name not in scope and not is_external(name):
                 raise ParseError(f"unbound variable '{name}'")
         elif isinstance(node, n.Comprehension):
             scoped = []
@@ -324,22 +324,18 @@ def _trace_external(name: str) -> bool:
     return name.startswith("img_") or name.startswith("arch_")
 
 
-def parse_embedded(stream: TokenStream, allow_trace_vars: bool = True):
-    """Parse one expression from a shared stream (used by script parsing)."""
+def parse_embedded(stream: TokenStream):
+    """Parse one expression from a shared stream (used by script parsing);
+    `img_T` and `arch_T` names are bound by the script's trace."""
     expr = QueryParser(stream).parse_expression()
-    check_bindings(expr, _trace_external if allow_trace_vars else None)
+    check_bindings(expr, _trace_external)
     return expr
 
 
-def parse_query(text: str, *, allow_trace_vars: bool = False, extra_names=()):
+def parse_query(text: str, *, extra_names=()):
     """Parse a complete query; raises ParseError with position on failure."""
-    extra = frozenset(extra_names)
-
-    def is_external(name):
-        return name in extra or (allow_trace_vars and _trace_external(name))
-
     stream = TokenStream(tokenize(text))
     expr = QueryParser(stream).parse_expression()
     stream.expect_eof()
-    check_bindings(expr, is_external)
+    check_bindings(expr, frozenset(extra_names).__contains__)
     return expr

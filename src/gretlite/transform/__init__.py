@@ -1,7 +1,6 @@
 """Transformation scripts: parsing and execution with traceability."""
 
 from gretlite.transform.engine import (
-    ExecutionContext,
     ExecutionResult,
     TraceabilityMap,
     execute,
@@ -10,7 +9,6 @@ from gretlite.transform.ops import Transformation
 from gretlite.transform.parser import parse_script
 
 __all__ = [
-    "ExecutionContext",
     "ExecutionResult",
     "TraceabilityMap",
     "Transformation",

@@ -4,11 +4,28 @@ Out-place runs read the source graph and build a separate target graph;
 in-place runs rewrite the source graph itself.  Every element created for
 an archetype is recorded in a TraceabilityMap, and queries evaluated
 during execution see those maps as `img_T` / `arch_T` bindings.
+
+One ExecutionResult is the record of a run: the source and target graphs,
+the trace, the mode, the count each top-level op reports and the
+applied/skipped counts of every MatchReplace invocation.  Its `eval`
+evaluates an op's queries against the source with the trace maps bound.
+
+CreateSubgraph and MatchReplace instantiate a template the same way.
+The template's new vertices are created in order, each archetype
+evaluated just before its vertex is created and registered.  Then every
+item, new or preserved, is checked to be alive and gets its attribute
+assignments, in template order.  Last come the template's edges, each
+created, registered if it has an archetype, and assigned.
+
+Delete and MatchReplace delete the same way: first the live edges, then
+the live vertices, each of which takes its remaining incident edges with
+it.  MatchReplace deletes a match's unreferenced elements before it
+instantiates the template for that match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from gretlite import model
 from gretlite.errors import GretliteError, QueryError, TransformError
@@ -24,7 +41,7 @@ from gretlite.values import (
     value_key,
 )
 
-DEFAULT_ROUND_LIMIT = 10_000
+ROUND_LIMIT = 10_000
 
 _MISSING = object()
 
@@ -110,29 +127,22 @@ class TraceabilityMap:
         return list(entries.values()) if entries is not None else []
 
 
-@dataclass
-class MatchReplaceStats:
+class MatchReplaceStats(NamedTuple):
     applied: int
     skipped: int
-    applied_elements: list  # one element list per applied match
 
 
-@dataclass
 class ExecutionResult:
-    graph: model.Graph
-    trace: TraceabilityMap
-    op_counts: list[tuple[str, int]] = field(default_factory=list)
-    match_invocations: list[MatchReplaceStats] = field(default_factory=list)
+    """What a run did, and the state its ops read and write."""
 
-
-class ExecutionContext:
-    def __init__(self, source: model.Graph, target: model.Graph,
+    def __init__(self, source: model.Graph, graph: model.Graph,
                  trace: TraceabilityMap, in_place: bool):
         self.source = source
-        self.target = target
+        self.graph = graph
         self.trace = trace
         self.in_place = in_place
-        self.result = ExecutionResult(target, trace)
+        self.op_counts: list[tuple[str, int]] = []
+        self.match_invocations: list[MatchReplaceStats] = []
 
     def eval(self, expr, dollar=_MISSING):
         env = Bindings(fallback=self._trace_lookup, dollar=dollar)
@@ -143,7 +153,7 @@ class ExecutionContext:
                            ("arch_", self.trace.arch_value)):
             if name.startswith(prefix):
                 cls = name[len(prefix):]
-                if not self.target.schema.has_class(cls):
+                if not self.graph.schema.has_class(cls):
                     raise QueryError(f"unknown class '{cls}' in '{name}'")
                 return fn(cls)
         return None
@@ -153,9 +163,8 @@ def execute(transformation: ops.Transformation,
             source_graph: model.Graph | None = None,
             *,
             target_schema: model.Schema | None = None,
-            in_place: bool = False,
-            round_limit: int = DEFAULT_ROUND_LIMIT) -> ExecutionResult:
-    """Run a transformation and return the target graph plus trace."""
+            in_place: bool = False) -> ExecutionResult:
+    """Run a transformation and return the record of the run."""
     if in_place:
         if source_graph is None:
             raise TransformError("in-place execution requires a source graph")
@@ -173,18 +182,18 @@ def execute(transformation: ops.Transformation,
         source = source_graph
         if source is None:
             source = model.Graph(target_schema, name="empty")
-    trace = TraceabilityMap(target.schema)
-    ctx = ExecutionContext(source, target, trace, in_place)
+    ctx = ExecutionResult(source, target, TraceabilityMap(target.schema),
+                          in_place)
     for index, op in enumerate(transformation.ops, start=1):
         try:
-            count = _run_op(ctx, op, round_limit)
+            count = _run_op(ctx, op)
         except GretliteError as exc:
             raise TransformError(f"op {index}: {exc}") from exc
-        ctx.result.op_counts.append((type(op).__name__, count))
-    return ctx.result
+        ctx.op_counts.append((type(op).__name__, count))
+    return ctx
 
 
-def _run_op(ctx: ExecutionContext, op, round_limit: int) -> int:
+def _run_op(ctx: ExecutionResult, op) -> int:
     match op:
         case ops.CreateVertices():
             return _create_vertices(ctx, op)
@@ -199,7 +208,7 @@ def _run_op(ctx: ExecutionContext, op, round_limit: int) -> int:
         case ops.Delete():
             return _delete(ctx, op)
         case ops.Iteratively():
-            return _iteratively(ctx, op, round_limit)
+            return _iteratively(ctx, op)
     raise TransformError(f"unknown operation {op!r}")
 
 
@@ -212,14 +221,14 @@ def _require_set(value, op_name: str) -> OrderedSet:
 def _create_vertices(ctx, op: ops.CreateVertices) -> int:
     members = _require_set(ctx.eval(op.query), "CreateVertices")
     for archetype in members:
-        vertex = ctx.target.create_vertex(op.class_name)
+        vertex = ctx.graph.create_vertex(op.class_name)
         ctx.trace.register(op.class_name, archetype, vertex)
     return len(members)
 
 
 def _create_edges(ctx, op: ops.CreateEdges) -> int:
     members = _require_set(ctx.eval(op.query), "CreateEdges")
-    edge_class = ctx.target.schema.edge_class(op.class_name)
+    edge_class = ctx.graph.schema.edge_class(op.class_name)
     for member in members:
         if not isinstance(member, tuple) or len(member) != 3:
             raise TransformError(
@@ -229,7 +238,7 @@ def _create_edges(ctx, op: ops.CreateEdges) -> int:
         edge_arch, start_arch, end_arch = member
         start = _resolve_image(ctx, edge_class.from_class, start_arch)
         end = _resolve_image(ctx, edge_class.to_class, end_arch)
-        edge = ctx.target.create_edge(op.class_name, start, end)
+        edge = ctx.graph.create_edge(op.class_name, start, end)
         ctx.trace.register(op.class_name, edge_arch, edge)
     return len(members)
 
@@ -248,7 +257,7 @@ def _set_attributes(ctx, op: ops.SetAttributes) -> int:
     entries = ctx.eval(op.query)
     if not isinstance(entries, ValueMap):
         raise TransformError("SetAttributes expects its query to yield a map")
-    ctx.target.schema.attribute_type(op.class_name, op.attr_name)
+    ctx.graph.schema.attribute_type(op.class_name, op.attr_name)
     for archetype, value in entries.items():
         element = _resolve_image(ctx, op.class_name, archetype)
         element.set_attr(op.attr_name, value)
@@ -264,24 +273,28 @@ def _create_subgraph(ctx, op: ops.CreateSubgraph) -> int:
                 f"'{tv.alias}' references an existing element"
             )
     for member in members:
-        aliases: dict[str, model.Vertex] = {}
-        for tv in op.template.vertices:
-            archetype = ctx.eval(tv.arch, dollar=member)
-            vertex = ctx.target.create_vertex(tv.class_name)
-            ctx.trace.register(tv.class_name, archetype, vertex)
-            aliases[tv.alias] = vertex
-        for tv in op.template.vertices:
-            _apply_assigns(ctx, aliases[tv.alias], tv.assigns, member)
-        _create_template_edges(ctx, op.template, aliases, member)
+        _instantiate(ctx, op.template, {}, member)
     return len(members)
 
 
-def _apply_assigns(ctx, element, assigns, dollar):
-    for name, expr in assigns:
-        element.set_attr(name, ctx.eval(expr, dollar=dollar))
-
-
-def _create_template_edges(ctx, template: ops.Template, aliases, dollar):
+def _instantiate(ctx, template: ops.Template, aliases: dict, dollar):
+    """Create a template's new vertices, assign every item, then create
+    its edges.  `aliases` holds the preserved items and gains the new
+    ones."""
+    for tv in template.vertices:
+        if not tv.is_ref:
+            archetype = ctx.eval(tv.arch, dollar)
+            vertex = ctx.graph.create_vertex(tv.class_name)
+            ctx.trace.register(tv.class_name, archetype, vertex)
+            aliases[tv.alias] = vertex
+    for tv in template.vertices:
+        element = aliases[tv.alias]
+        if not element.alive:
+            raise TransformError(
+                f"preserved element '{tv.alias}' was deleted by a cascade"
+            )
+        for name, expr in tv.assigns:
+            element.set_attr(name, ctx.eval(expr, dollar))
     for te in template.edges:
         start = aliases[te.start_alias]
         end = aliases[te.end_alias]
@@ -290,40 +303,31 @@ def _create_template_edges(ctx, template: ops.Template, aliases, dollar):
                 raise TransformError(
                     f"template edge endpoint '{alias}' is not a vertex"
                 )
-            if not endpoint.alive:
-                raise TransformError(
-                    f"template edge endpoint '{alias}' was deleted"
-                )
-        edge = ctx.target.create_edge(te.class_name, start, end)
+        edge = ctx.graph.create_edge(te.class_name, start, end)
         if te.arch is not None:
-            ctx.trace.register(te.class_name, ctx.eval(te.arch, dollar=dollar),
-                               edge)
-        _apply_assigns(ctx, edge, te.assigns, dollar)
+            ctx.trace.register(te.class_name, ctx.eval(te.arch, dollar), edge)
+        for name, expr in te.assigns:
+            edge.set_attr(name, ctx.eval(expr, dollar))
 
 
 def _match_replace(ctx, op: ops.MatchReplace) -> int:
     if not ctx.in_place:
         raise TransformError("MatchReplace requires in-place execution")
     matches = _require_set(ctx.eval(op.query), "MatchReplace")
-    touched: set[int] = set()
+    touched: set[model.Element] = set()
     applied = 0
     skipped = 0
-    stats = MatchReplaceStats(0, 0, [])
     for match in matches:
-        elements = list({
-            id(el): el for el in leaves(match)
-            if isinstance(el, model.Element)
-        }.values())
-        if any(id(el) in touched or not el.alive for el in elements):
+        elements = [el for el in leaves(match) if isinstance(el, model.Element)]
+        if any(el in touched or not el.alive for el in elements):
             skipped += 1
             continue
         dollar = match if isinstance(match, tuple) else (match,)
         aliases: dict[str, model.Element] = {}
-        preserved: set[int] = set()
         for tv in op.template.vertices:
             if not tv.is_ref:
                 continue
-            element = ctx.eval(tv.ref, dollar=dollar)
+            element = ctx.eval(tv.ref, dollar)
             if isinstance(element, tuple) and len(element) == 1:
                 # single-element matches are bound as 1-tuples; a bare `$`
                 # reference means the element itself
@@ -334,37 +338,13 @@ def _match_replace(ctx, op: ops.MatchReplace) -> int:
                     f"element, got {render_value(element) if element is not None else 'nothing'}"
                 )
             aliases[tv.alias] = element
-            preserved.add(id(element))
-        cascade: list[model.Element] = []
-        doomed = [el for el in elements if id(el) not in preserved]
-        for el in doomed:
-            if isinstance(el, model.Edge) and el.alive:
-                ctx.target.delete_edge(el)
-        for el in doomed:
-            if isinstance(el, model.Vertex) and el.alive:
-                cascade.extend(ctx.target.delete_vertex(el))
-        for tv in op.template.vertices:
-            if tv.is_ref:
-                continue
-            archetype = ctx.eval(tv.arch, dollar=dollar)
-            vertex = ctx.target.create_vertex(tv.class_name)
-            ctx.trace.register(tv.class_name, archetype, vertex)
-            aliases[tv.alias] = vertex
-        for tv in op.template.vertices:
-            element = aliases[tv.alias]
-            if not element.alive:
-                raise TransformError(
-                    f"preserved element '{tv.alias}' was deleted by a cascade"
-                )
-            _apply_assigns(ctx, element, tv.assigns, dollar)
-        _create_template_edges(ctx, op.template, aliases, dollar)
-        touched.update(id(el) for el in elements)
-        touched.update(id(el) for el in cascade)
+        preserved = set(aliases.values())
+        deleted = _delete_all(
+            ctx, [el for el in elements if el not in preserved])
+        _instantiate(ctx, op.template, aliases, dollar)
+        touched.update(elements, deleted)
         applied += 1
-        stats.applied_elements.append(elements)
-    stats.applied = applied
-    stats.skipped = skipped
-    ctx.result.match_invocations.append(stats)
+    ctx.match_invocations.append(MatchReplaceStats(applied, skipped))
     return applied
 
 
@@ -381,33 +361,38 @@ def _delete(ctx, op: ops.Delete) -> int:
                 f"Delete results must contain graph elements only, got "
                 f"{render_value(el) if el is not UNDEFINED else 'undefined'}"
             )
-    deleted = 0
-    for el in flat:
+    return len(_delete_all(ctx, flat))
+
+
+def _delete_all(ctx, elements) -> list[model.Element]:
+    """Delete the live edges among `elements`, then the live vertices;
+    return every element deleted, cascaded edges included."""
+    deleted: list[model.Element] = []
+    for el in elements:
         if isinstance(el, model.Edge) and el.alive:
-            ctx.target.delete_edge(el)
-            deleted += 1
-    for el in flat:
+            deleted += ctx.graph.delete_edge(el)
+    for el in elements:
         if isinstance(el, model.Vertex) and el.alive:
-            deleted += len(ctx.target.delete_vertex(el))
+            deleted += ctx.graph.delete_vertex(el)
     return deleted
 
 
-def _iteratively(ctx, op: ops.Iteratively, round_limit: int) -> int:
+def _iteratively(ctx, op: ops.Iteratively) -> int:
     if not ctx.in_place:
         raise TransformError("Iteratively requires in-place execution")
     rounds = 0
     while True:
         rounds += 1
-        if rounds > round_limit:
+        if rounds > ROUND_LIMIT:
             raise TransformError(
-                f"Iteratively exceeded {round_limit} rounds; the body "
+                f"Iteratively exceeded {ROUND_LIMIT} rounds; the body "
                 "probably never becomes inapplicable"
             )
         changed = False
         for body_op in op.body:
-            before = ctx.target.revision
-            _run_op(ctx, body_op, round_limit)
-            if ctx.target.revision != before:
+            before = ctx.graph.revision
+            _run_op(ctx, body_op)
+            if ctx.graph.revision != before:
                 changed = True
         if not changed:
             return rounds

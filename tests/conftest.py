@@ -7,6 +7,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gretlite import corpus
 from gretlite.formats import load_graph, load_schema
+from gretlite.model import Element
+from gretlite.transform import engine
+from gretlite.values import leaves
 
 import genutil
 
@@ -39,6 +42,21 @@ def sample2(graph1_schema):
 @pytest.fixture
 def chain4(graph2_schema):
     return load_graph(corpus.read_text("chain4.glg"), graph2_schema)
+
+
+@pytest.fixture
+def instantiations(monkeypatch):
+    """Record the graph elements of `$` at every template instantiation;
+    for MatchReplace that is one element list per applied match."""
+    recorded = []
+    original = engine._instantiate
+
+    def record(ctx, template, aliases, dollar):
+        recorded.append([el for el in leaves(dollar) if isinstance(el, Element)])
+        return original(ctx, template, aliases, dollar)
+
+    monkeypatch.setattr(engine, "_instantiate", record)
+    return recorded
 
 
 def corpus_text(name: str) -> str:

@@ -271,7 +271,7 @@ def test_criterion_10_transitive_edges_not_closure():
             assert result == original | compositions
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(instantiations):
     with criterion(11, "traceability, isolation, disjointness, round trips"):
         # out-place isolation + trace bijectivity
         migrate = corpus_script("10-simple-migration.grt")
@@ -289,12 +289,13 @@ def test_criterion_11_property_suites():
         # applied-match disjointness
         reverse = corpus_script("09-reverse-edges.grt")
         for graph in make_fixtures(count=25, seed=SEED + 12):
+            instantiations.clear()
             run = execute(reverse, graph, in_place=True)
+            assert len(instantiations) == run.match_invocations[0].applied
             seen = set()
-            for elements in run.match_invocations[0].applied_elements:
-                ids = {id(el) for el in elements}
-                assert not (ids & seen)
-                seen |= ids
+            for elements in instantiations:
+                assert seen.isdisjoint(elements)
+                seen.update(elements)
         # comprehension vs naive evaluator on graphs with <= 8 vertices
         texts = [
             "from n1, n2, n3 : V{Node} "

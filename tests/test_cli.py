@@ -59,6 +59,22 @@ def test_missing_file_names_the_path(workdir, capsys):
     assert "nope.gls" in capsys.readouterr().err
 
 
+def test_files_that_are_not_regular_are_read(workdir):
+    """A pipe is read like a file; a directory is an error that names the
+    path, not a missing file."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    args = [sys.executable, "-m", "gretlite.cli", "query",
+            str(workdir / "graph1.gls"), str(workdir / "sample1.glg")]
+    run = subprocess.run(args + ["/dev/stdin"], input="count(V{Node})",
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "6\n"), run.stderr
+    run = subprocess.run(args + [str(workdir)], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 1
+    assert "no such file" not in run.stderr
+    assert str(workdir) in run.stderr
+
+
 def test_parse_error_is_a_user_error(workdir, capsys):
     bad = workdir / "bad.grq"
     bad.write_text("from x", encoding="utf-8")

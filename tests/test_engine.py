@@ -6,7 +6,7 @@ from gretlite import corpus
 from gretlite.errors import TransformError
 from gretlite.formats import load_graph, save_graph
 from gretlite.model import Graph
-from gretlite.transform import TraceabilityMap, execute, parse_script
+from gretlite.transform import TraceabilityMap, engine, execute, parse_script
 from gretlite.values import OrderedSet
 
 import genutil
@@ -251,14 +251,15 @@ class TestMatchReplace:
         stats = run.match_invocations[0]
         assert (stats.applied, stats.skipped) == (1, 1)
 
-    def test_applied_matches_are_disjoint(self, graph1_schema, sample1):
+    def test_applied_matches_are_disjoint(self, graph1_schema, sample1,
+                                          instantiations):
         reverse = parse_script(corpus.read_text("09-reverse-edges.grt"))
         run = execute(reverse, sample1, in_place=True)
+        assert len(instantiations) == run.match_invocations[0].applied > 0
         seen = set()
-        for elements in run.match_invocations[0].applied_elements:
-            ids = {id(el) for el in elements}
-            assert not (ids & seen)
-            seen |= ids
+        for elements in instantiations:
+            assert seen.isdisjoint(elements)
+            seen.update(elements)
 
     def test_unreferenced_elements_deleted(self, graph1_schema):
         g, n1, n2, ev = one_conceptual_edge(graph1_schema)
@@ -311,6 +312,17 @@ class TestMatchReplace:
         assert n2.alive
 
 
+@pytest.mark.parametrize("op", ["CreateSubgraph", "MatchReplace"])
+def test_archetype_is_evaluated_before_its_vertex_exists(graph1_schema,
+                                                          sample1, op):
+    before = sum(v.class_name == "Node" for v in sample1.vertices)
+    s = script(f"{op} (x : Node | arch = count(V{{Node}})) <== set(tup(1));")
+    run = execute(s, sample1, in_place=True)
+    (archetype, vertex), = run.trace.entries("Node")
+    assert archetype == before
+    assert vertex.alive and vertex.graph is sample1
+
+
 class TestDelete:
     def test_named_node(self, graph1_schema, sample1):
         t = parse_script(corpus.read_text("12-delete-node-n1.grt"))
@@ -360,13 +372,14 @@ class TestIteratively:
         assert result == original | compositions
         assert run.op_counts == [("Iteratively", 2)]
 
-    def test_round_limit(self, graph1_schema, sample1):
+    def test_round_limit(self, graph1_schema, sample1, monkeypatch):
+        monkeypatch.setattr(engine, "ROUND_LIMIT", 5)
         s = script(
             "Iteratively { MatchReplace "
             "(x : Node | arch = count(V{Node})) <== set(tup(1)); }"
         )
         with pytest.raises(TransformError, match="exceeded 5 rounds"):
-            execute(s, sample1, in_place=True, round_limit=5)
+            execute(s, sample1, in_place=True)
 
     def test_requires_in_place(self, graph1_schema, sample1):
         with pytest.raises(TransformError, match="in-place"):

@@ -1,7 +1,9 @@
 import pytest
 
 from gretlite.errors import ParseError
+from gretlite.lexer import TokenStream, tokenize
 from gretlite.query import parse_query
+from gretlite.query.parser import parse_embedded
 from gretlite.query import nodes as n
 from gretlite.values import UNDEFINED
 
@@ -56,7 +58,8 @@ def test_later_declarations_see_earlier_names():
 def test_trace_variables_need_opt_in():
     with pytest.raises(ParseError, match="unbound"):
         parse_query("img_Node")
-    assert parse_query("img_Node", allow_trace_vars=True) == n.VarRef("img_Node")
+    stream = TokenStream(tokenize("img_Node"))
+    assert parse_embedded(stream) == n.VarRef("img_Node")
 
 
 def test_extra_names():
