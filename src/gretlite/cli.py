@@ -1,5 +1,11 @@
 """Command-line driver: query evaluation, script execution, corpus runs.
 
+`cmd_query(args, read)` and `cmd_transform(args, read)` read every input
+through `read(path) -> text` and return their outputs as `(path, text)`
+pairs, the path None standing for standard output.  `main` reads from
+disk, writes the files (all or none) and prints the rest; the corpus runs
+the same commands in memory.
+
 Exit codes: 0 success, 1 user error (bad arguments, missing files, parse
 or execution errors, failing corpus tasks), 2 internal error.
 """
@@ -57,22 +63,21 @@ def _write_all(outputs: list[tuple[str, str]]):
                 os.unlink(tmp)
 
 
-def cmd_query(args) -> int:
-    schema = load_schema(_read(args.schema))
-    graph = load_graph(_read(args.graph), schema)
-    expr = parse_query(_read(args.query))
-    sys.stdout.write(render_result(evaluate(expr, graph)))
-    return 0
+def cmd_query(args, read) -> list[tuple[str | None, str]]:
+    schema = load_schema(read(args.schema))
+    graph = load_graph(read(args.graph), schema)
+    expr = parse_query(read(args.query))
+    return [(None, render_result(evaluate(expr, graph)))]
 
 
 # `transform` and `corpus` are imported by the subcommands that use them,
 # so that a query run does not pay for importing them.
 
-def cmd_transform(args) -> int:
+def cmd_transform(args, read) -> list[tuple[str | None, str]]:
     from gretlite.transform import execute, parse_script
 
-    target_schema = load_schema(_read(args.target_schema))
-    transformation = parse_script(_read(args.script))
+    target_schema = load_schema(read(args.target_schema))
+    transformation = parse_script(read(args.script))
     if args.in_place and args.source is None:
         raise UsageError("--in-place requires --source")
     source = None
@@ -84,8 +89,8 @@ def cmd_transform(args) -> int:
                     "--source-schema conflicts with --in-place; an in-place "
                     "run rewrites the source under the target schema"
                 )
-            source_schema = load_schema(_read(args.source_schema))
-        source = load_graph(_read(args.source), source_schema)
+            source_schema = load_schema(read(args.source_schema))
+        source = load_graph(read(args.source), source_schema)
     result = execute(transformation, source, target_schema=target_schema,
                      in_place=args.in_place)
     outputs = [(args.out, save_graph(result.graph))]
@@ -93,8 +98,7 @@ def cmd_transform(args) -> int:
         outputs.append((args.trace, trace_report(result.trace)))
     if args.dot is not None:
         outputs.append((args.dot, export_dot(result.graph)))
-    _write_all(outputs)
-    return 0
+    return outputs
 
 
 def cmd_corpus(args) -> int:
@@ -142,18 +146,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus_cmd = sub.add_parser("corpus", help="run the bundled task corpus")
     corpus_cmd.add_argument("--task", type=int, help="run a single task")
-    corpus_cmd.set_defaults(fn=cmd_corpus)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except GretliteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        if args.command == "corpus":
+            return cmd_corpus(args)
+        outputs = args.fn(args, _read)
+        _write_all([out for out in outputs if out[0] is not None])
+        sys.stdout.write("".join(text for path, text in outputs
+                                 if path is None))
+        return 0
+    except (GretliteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - report, then fail loudly

@@ -1,7 +1,13 @@
 """Bundled task corpus: fixtures, scripts, queries, and golden outputs.
 
-Each task runs fully in memory and compares its outputs against golden
-files stored next to the fixtures, so a corpus run never writes anything.
+Each task is the `gretlite` command lines that solve it, with file names
+relative to this package.  `run_task` runs them in order through the CLI's
+own command functions, in memory: a command reads a file that an earlier
+command of the task wrote, or else the packaged file of that name.  Every
+file a command writes is compared with `golden/<name>`, and what a query
+prints with `golden/NN-out.txt`, NN being the task number.  So a corpus
+run writes nothing to disk, and the same command lines run in a copy of
+this directory write files equal to the goldens.
 """
 
 from __future__ import annotations
@@ -9,73 +15,47 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from gretlite.formats import load_graph, load_schema, save_graph
-from gretlite.query import evaluate, parse_query
-from gretlite.report import render_result, trace_report
-from gretlite.transform import execute, parse_script
+from gretlite import cli
 
-
-@dataclass(frozen=True)
-class TaskSpec:
-    number: int
-    title: str
-    schema: str
-    script: str | None = None
-    query: str | None = None
-    source: str | None = None
-    source_schema: str | None = None
-    in_place: bool = False
-    setup_script: str | None = None  # produces the queried graph (task 3)
-    golden_graph: str | None = None
-    golden_value: str | None = None
-    golden_trace: str | None = None
-
-
-TASKS: tuple[TaskSpec, ...] = (
-    TaskSpec(1, "constant greeting", "hello.gls",
-             script="01-create-greeting.grt",
-             golden_graph="01-out.glg", golden_trace="01-trace.txt"),
-    TaskSpec(2, "greeting subgraph from a template", "hello_ext.gls",
-             script="02-create-extended-greeting.grt",
-             golden_graph="02-out.glg", golden_trace="02-trace.txt"),
-    TaskSpec(3, "greeting rendered to text", "hello_ext.gls",
-             query="03-greeting-to-text.grq",
-             setup_script="02-create-extended-greeting.grt",
-             golden_value="03-out.txt"),
-    TaskSpec(4, "count nodes", "graph1.gls",
-             query="04-count-nodes.grq", source="sample1.glg",
-             golden_value="04-out.txt"),
-    TaskSpec(5, "count looping edges", "graph1.gls",
-             query="05-count-loops.grq", source="sample1.glg",
-             golden_value="05-out.txt"),
-    TaskSpec(6, "isolated nodes", "graph1.gls",
-             query="06-isolated-nodes.grq", source="sample1.glg",
-             golden_value="06-out.txt"),
-    TaskSpec(7, "circles of three nodes", "graph1.gls",
-             query="07-circle-of-three.grq", source="sample1.glg",
-             golden_value="07-out.txt"),
-    TaskSpec(8, "dangling edges", "graph1.gls",
-             query="08-dangling-edges.grq", source="sample1.glg",
-             golden_value="08-out.txt"),
-    TaskSpec(9, "reverse edges in place", "graph1.gls",
-             script="09-reverse-edges.grt", source="sample1.glg",
-             in_place=True, golden_graph="09-out.glg"),
-    TaskSpec(10, "migration into the evolved schema", "graph1evo.gls",
-             script="10-simple-migration.grt", source="sample1.glg",
-             source_schema="graph1.gls",
-             golden_graph="10-out.glg", golden_trace="10-trace.txt"),
-    TaskSpec(11, "topology change to real edges", "graph2.gls",
-             script="11-change-topology.grt", source="sample2.glg",
-             source_schema="graph1.gls", golden_graph="11-out.glg"),
-    TaskSpec(12, "delete nodes named n1", "graph1.gls",
-             script="12-delete-node-n1.grt", source="sample1.glg",
-             in_place=True, golden_graph="12-out.glg"),
-    TaskSpec(13, "delete nodes named n1 with their edges", "graph1.gls",
-             script="13-delete-node-n1-and-edges.grt", source="sample1.glg",
-             in_place=True, golden_graph="13-out.glg"),
-    TaskSpec(14, "insert transitive edges", "graph2.gls",
-             script="14-insert-transitive-edges.grt", source="chain4.glg",
-             in_place=True, golden_graph="14-out.glg"),
+# (number, title, *command lines)
+TASKS: tuple[tuple, ...] = (
+    (1, "constant greeting",
+     "transform 01-create-greeting.grt hello.gls --out 01-out.glg "
+     "--trace 01-trace.txt"),
+    (2, "greeting subgraph from a template",
+     "transform 02-create-extended-greeting.grt hello_ext.gls "
+     "--out 02-out.glg --trace 02-trace.txt"),
+    (3, "greeting rendered to text",
+     "transform 02-create-extended-greeting.grt hello_ext.gls "
+     "--out 02-out.glg",
+     "query hello_ext.gls 02-out.glg 03-greeting-to-text.grq"),
+    (4, "count nodes", "query graph1.gls sample1.glg 04-count-nodes.grq"),
+    (5, "count looping edges",
+     "query graph1.gls sample1.glg 05-count-loops.grq"),
+    (6, "isolated nodes",
+     "query graph1.gls sample1.glg 06-isolated-nodes.grq"),
+    (7, "circles of three nodes",
+     "query graph1.gls sample1.glg 07-circle-of-three.grq"),
+    (8, "dangling edges",
+     "query graph1.gls sample1.glg 08-dangling-edges.grq"),
+    (9, "reverse edges in place",
+     "transform 09-reverse-edges.grt graph1.gls --source sample1.glg "
+     "--in-place --out 09-out.glg"),
+    (10, "migration into the evolved schema",
+     "transform 10-simple-migration.grt graph1evo.gls --source sample1.glg "
+     "--source-schema graph1.gls --out 10-out.glg --trace 10-trace.txt"),
+    (11, "topology change to real edges",
+     "transform 11-change-topology.grt graph2.gls --source sample2.glg "
+     "--source-schema graph1.gls --out 11-out.glg"),
+    (12, "delete nodes named n1",
+     "transform 12-delete-node-n1.grt graph1.gls --source sample1.glg "
+     "--in-place --out 12-out.glg"),
+    (13, "delete nodes named n1 with their edges",
+     "transform 13-delete-node-n1-and-edges.grt graph1.gls "
+     "--source sample1.glg --in-place --out 13-out.glg"),
+    (14, "insert transitive edges",
+     "transform 14-insert-transitive-edges.grt graph2.gls "
+     "--source chain4.glg --in-place --out 14-out.glg"),
 )
 
 
@@ -97,31 +77,20 @@ def read_text(name: str, root=None) -> str:
     return (root / name).read_text(encoding="utf-8")
 
 
-def run_task(spec: TaskSpec, root=None) -> TaskResult:
-    result = TaskResult(spec.number, spec.title, passed=True)
-    schema = load_schema(read_text(spec.schema, root))
-    source = None
-    if spec.source is not None:
-        source_schema = schema
-        if spec.source_schema is not None:
-            source_schema = load_schema(read_text(spec.source_schema, root))
-        source = load_graph(read_text(spec.source, root), source_schema)
-    if spec.setup_script is not None:
-        setup = parse_script(read_text(spec.setup_script, root))
-        source = execute(setup, target_schema=schema).graph
-    if spec.script is not None:
-        transformation = parse_script(read_text(spec.script, root))
-        run = execute(transformation, source, target_schema=schema,
-                      in_place=spec.in_place)
-        if spec.golden_graph is not None:
-            result.outputs[spec.golden_graph] = save_graph(run.graph)
-        if spec.golden_trace is not None:
-            result.outputs[spec.golden_trace] = trace_report(run.trace)
-    if spec.query is not None:
-        expr = parse_query(read_text(spec.query, root))
-        value = evaluate(expr, source)
-        result.outputs[spec.golden_value] = render_result(value)
-    for name, actual in result.outputs.items():
+def run_task(task, root=None) -> TaskResult:
+    number, title, *commands = task
+    result = TaskResult(number, title, passed=True)
+    outputs = result.outputs
+
+    def read(name: str) -> str:
+        return outputs[name] if name in outputs else read_text(name, root)
+
+    parser = cli.build_parser()
+    for command in commands:
+        args = parser.parse_args(command.split())
+        for path, text in args.fn(args, read):
+            outputs[f"{number:02d}-out.txt" if path is None else path] = text
+    for name, actual in outputs.items():
         golden = read_text(f"golden/{name}", root)
         diff = _first_diff(golden, actual)
         if diff is not None:
@@ -145,14 +114,13 @@ def _first_diff(expected: str, actual: str) -> str | None:
 
 
 def run_corpus(root=None, only: int | None = None) -> list[TaskResult]:
-    specs = [t for t in TASKS if only is None or t.number == only]
     results = []
-    for spec in specs:
+    for task in TASKS:
+        if only is not None and task[0] != only:
+            continue
         try:
-            results.append(run_task(spec, root))
+            results.append(run_task(task, root))
         except Exception as exc:  # a crashing task is a failing task
-            results.append(
-                TaskResult(spec.number, spec.title, passed=False,
-                           failure=f"error: {exc}")
-            )
+            results.append(TaskResult(*task[:2], passed=False,
+                                      failure=f"error: {exc}"))
     return results

@@ -177,35 +177,6 @@ def _skip_multiplicity(ts: TokenStream):
     ts.expect_symbol(")")
 
 
-def save_schema(schema: model.Schema) -> str:
-    lines = [f"schema {schema.name};"]
-    for cls in schema.vertex_classes:
-        head = "abstract vertexclass" if cls.is_abstract else "vertexclass"
-        lines.append(f"{head} {cls.name}{_supers_text(cls)}{_attrs_text(cls)};")
-    for cls in schema.edge_classes:
-        head = "edgeclass"
-        if cls.is_abstract:
-            head = f"abstract {head}"
-        if cls.is_aggregation:
-            head = f"aggregation {head}"
-        lines.append(
-            f"{head} {cls.name}{_supers_text(cls)} "
-            f"from {cls.from_class} to {cls.to_class}{_attrs_text(cls)};"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _supers_text(cls) -> str:
-    return f" : {', '.join(cls.supertypes)}" if cls.supertypes else ""
-
-
-def _attrs_text(cls) -> str:
-    if not cls.attributes:
-        return ""
-    body = ", ".join(f"{a}: {t.value}" for a, t in cls.attributes)
-    return " { " + body + " }"
-
-
 def load_graph(text: str, schema: model.Schema) -> model.Graph:
     header = re.match(_HEADER, text)
     # A header the regex rejects is parsed from a lazy scan of the file,

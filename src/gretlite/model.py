@@ -289,7 +289,10 @@ class Element:
                 f"attribute '{name}' of '{self.class_name}' expects "
                 f"{atype.value}, got {value!r}"
             )
-        value = atype.coerce(value)
+        try:
+            value = atype.coerce(value)
+        except OverflowError:  # an integer too large for a Double
+            value = math.inf
         if isinstance(value, float) and not math.isfinite(value):
             raise GraphError(f"attribute '{name}' rejects non-finite value")
         old = self._attrs[name]
@@ -322,13 +325,12 @@ class Vertex(Element):
         # edge contributes one "out" and one "in" entry.
         self._entries: dict[tuple[str, Edge], None] = {}
 
-    def incidences(self, direction: str = "both") -> list[tuple[str, Edge]]:
+    def incidences(self):
+        """A read-only view of the (direction, edge) incidences, "out" or
+        "in", in creation order; it is not a copy, so do not change the
+        graph while iterating it."""
         self._require_alive()
-        if direction not in ("out", "in", "both"):
-            raise GraphError(f"invalid direction '{direction}'")
-        if direction == "both":
-            return list(self._entries)
-        return [(d, e) for d, e in self._entries if d == direction]
+        return self._entries.keys()
 
 
 class Edge(Element):

@@ -38,6 +38,7 @@ because every collection is built in graph creation order.
 from __future__ import annotations
 
 import math
+import sys
 
 from gretlite import model
 from gretlite.errors import GraphError, QueryError, SchemaError
@@ -146,21 +147,23 @@ def eval_path(graph: model.Graph, start: model.Vertex, steps,
         raise QueryError("path expressions start at a vertex")
     if classes is None:
         classes = _step_classes(graph.schema, steps)
-    frontier = OrderedSet([start])
+    # a frontier is a dict of vertices, which hash by identity: ordered
+    # and duplicate-free without a `value_key` per vertex
+    frontier = {start: None}
     for step, allowed in zip(steps, classes):
         want = _STEP_WANT.get(step.direction)
-        out = OrderedSet()
+        out = {}
         for v in frontier:
-            for direction, edge in v.incidences("both"):
+            for direction, edge in v.incidences():
                 if allowed is not None and edge.class_name not in allowed:
                     continue
                 if direction == "out":
                     if want != "in":
-                        out.add(edge.end)
+                        out[edge.end] = None
                 elif want != "out":
-                    out.add(edge.start)
+                    out[edge.start] = None
         frontier = out
-    return frontier
+    return OrderedSet(frontier)
 
 
 def _spec_names(schema: model.Schema, specs, lookup,
@@ -443,7 +446,7 @@ class _Compiler:
             if not isinstance(v, model.Vertex):
                 raise QueryError("degree expects a vertex")
             names = allowed(env)
-            return sum(1 for _, edge in v.incidences("both")
+            return sum(1 for _, edge in v.incidences()
                        if names is None or edge.class_name in names)
         return degree
 
@@ -539,24 +542,33 @@ def _arith(op: str, left, right):
         return to_text(left) + to_text(right)
     if not (_is_number(left) and _is_number(right)):
         raise QueryError(f"'{op}' expects numbers")
-    if op == "/":
-        if right == 0:
-            raise QueryError("division by zero")
-        result = left / right
-    elif op == "%":
-        if not (isinstance(left, int) and isinstance(right, int)):
-            raise QueryError("'%' expects integers")
-        if right == 0:
-            raise QueryError("division by zero")
-        result = left % right
-    elif op == "+":
-        result = left + right
-    elif op == "-":
-        result = left - right
-    else:
-        result = left * right
+    try:
+        if op == "/":
+            if right == 0:
+                raise QueryError("division by zero")
+            result = left / right
+        elif op == "%":
+            if not (isinstance(left, int) and isinstance(right, int)):
+                raise QueryError("'%' expects integers")
+            if right == 0:
+                raise QueryError("division by zero")
+            result = left % right
+        elif op == "+":
+            result = left + right
+        elif op == "-":
+            result = left - right
+        else:
+            result = left * right
+    except OverflowError:  # an integer operand or quotient beyond a float
+        raise QueryError(f"'{op}' result does not fit in a Double") from None
     if isinstance(result, float) and math.isnan(result):
         return UNDEFINED
+    # str() rejects an int longer than the interpreter's digit limit (0: none,
+    # as before Python 3.10.7; else >= 640 digits, more than 1920 bits hold)
+    if isinstance(result, int) and result.bit_length() > 1920:
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and abs(result) >= 10 ** limit:
+            raise QueryError(f"'{op}' result has more than {limit} digits")
     return result
 
 

@@ -164,7 +164,7 @@ def assert_no_dangling(g):
         assert e.start.alive and id(e.start) in vertex_ids
         assert e.end.alive and id(e.end) in vertex_ids
     for v in g.vertices:
-        for _, e in v.incidences("both"):
+        for _, e in v.incidences():
             assert e.alive
             assert e.start is v or e.end is v
 

@@ -257,6 +257,36 @@ def test_corpus_unknown_task(capsys):
     assert "no such task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", corpus.TASKS, ids=lambda t: f"task{t[0]:02d}")
+def test_corpus_command_lines_write_the_goldens(task, tmp_path, monkeypatch,
+                                               capsys):
+    """Each task's command lines, run unchanged in a copy of the corpus,
+    write and print what the in-memory corpus run compares: the goldens."""
+    for entry in corpus.default_root().iterdir():
+        if entry.is_file():
+            shutil.copy(str(entry), tmp_path / entry.name)
+    monkeypatch.chdir(tmp_path)
+    before = set(os.listdir(tmp_path))
+    number, _, *commands = task
+    for command in commands:
+        assert main(command.split()) == 0, capsys.readouterr().err
+    outputs = {name: (tmp_path / name).read_text(encoding="utf-8")
+               for name in set(os.listdir(tmp_path)) - before}
+    printed = capsys.readouterr().out
+    if printed:
+        outputs[f"{number:02d}-out.txt"] = printed
+    assert outputs
+    assert outputs == {name: corpus.read_text(f"golden/{name}")
+                       for name in outputs}
+    assert outputs == corpus.run_task(task).outputs
+
+
+def test_corpus_compares_exactly_the_golden_files():
+    compared = {name for r in corpus.run_corpus() for name in r.outputs}
+    golden = corpus.default_root() / "golden"
+    assert compared == {entry.name for entry in golden.iterdir()}
+
+
 def test_corrupted_golden_fails_with_diff(tmp_path):
     root = tmp_path / "corpus"
     root.mkdir()
@@ -315,6 +345,44 @@ def test_long_with_clause_evaluates(workdir, capsys):
     assert capsys.readouterr().out == "[v2, v3, v4, v5, v6, v7]\n"
 
 
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text", [f"{HUGE} / 1", f"{HUGE} + 0.5",
+                                  " * ".join([HUGE] * 12)],
+                         ids=["quotient", "float-sum", "long-product"])
+def test_huge_number_arithmetic_is_a_user_error(workdir, capsys, text):
+    assert _query(workdir, text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: '")
+    assert "internal error" not in err
+
+
+def test_huge_double_in_a_graph_is_a_user_error(workdir, capsys):
+    (workdir / "d.gls").write_text("schema d;\nvertexclass A { d: Double };\n",
+                                   encoding="utf-8")
+    (workdir / "d.glg").write_text(
+        f"graph d conforms d;\nv1 : A {{ d = {HUGE} }};\n", encoding="utf-8")
+    code = main(["query", str(workdir / "d.gls"), str(workdir / "d.glg"),
+                 str(workdir / "04-count-nodes.grq")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: attribute 'd' rejects non-finite value (line 2, column 10)\n")
+
+
+def test_huge_double_set_by_a_script_is_a_user_error(workdir, capsys):
+    (workdir / "d.gls").write_text("schema d;\nvertexclass A { d: Double };\n",
+                                   encoding="utf-8")
+    (workdir / "d.grt").write_text(
+        "transformation T;\nCreateVertices A <== set(1);\n"
+        f"SetAttributes A.d <== map(1 -> {HUGE});\n", encoding="utf-8")
+    code = main(["transform", str(workdir / "d.grt"), str(workdir / "d.gls"),
+                 "--out", str(workdir / "out.glg")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: op 2: attribute 'd' rejects non-finite value\n")
+
+
 _DUMP = """
 import sys
 from pathlib import Path
@@ -339,12 +407,13 @@ out = Path(sys.argv[1])
 for result in corpus.run_corpus():
     for name, text in result.outputs.items():
         (out / name).write_text(text, encoding="utf-8")
-for spec in corpus.TASKS:
-    if spec.query is not None and spec.source is not None:
-        schema = load_schema(corpus.read_text(spec.schema))
-        graph = load_graph(corpus.read_text(spec.source), schema)
-        value = evaluate(parse_query(corpus.read_text(spec.query)), graph)
-        (out / f"{spec.number:02d}-rows.txt").write_text(in_order(value))
+for number, _, *commands in corpus.TASKS:
+    if len(commands) == 1 and commands[0].startswith("query "):
+        _, *names = commands[0].split()
+        schema, graph, query = map(corpus.read_text, names)
+        graph = load_graph(graph, load_schema(schema))
+        value = evaluate(parse_query(query), graph)
+        (out / f"{number:02d}-rows.txt").write_text(in_order(value))
 sys.exit(main(["corpus"]))
 """
 

@@ -143,6 +143,15 @@ class TestDelete:
         with pytest.raises(GraphError, match="deleted"):
             g.delete_vertex(v)
 
+    def test_path_and_degree_from_deleted_vertex_fail(self):
+        g = Graph(make_schema())
+        ev = g.create_vertex("Edge_")
+        g.create_edge("Edge_LinksToSrc", ev, g.create_vertex("Node"))
+        g.delete_vertex(ev)
+        for query in ("x -->", "x <->", "degree(x)"):
+            with pytest.raises(GraphError, match="deleted"):
+                run_query(query, g, {"x": ev})
+
     def test_ids_never_reused(self):
         g = Graph(make_schema())
         v = g.create_vertex("Node")
@@ -252,16 +261,16 @@ class TestTypeTests:
 class TestIncidence:
     def test_isolated_has_none(self):
         g = Graph(make_schema())
-        assert g.create_vertex("Node").incidences("both") == []
+        assert list(g.create_vertex("Node").incidences()) == []
 
     def test_single_outgoing(self):
         g = Graph(make_schema())
         ev = g.create_vertex("Edge_")
         n = g.create_vertex("Node")
         e = g.create_edge("Edge_LinksToSrc", ev, n)
-        assert ev.incidences("out") == [("out", e)]
-        assert ev.incidences("in") == []
-        assert n.incidences("both") == [("in", e)]
+        assert [x for x in ev.incidences() if x[0] == "out"] == [("out", e)]
+        assert [x for x in ev.incidences() if x[0] == "in"] == []
+        assert list(n.incidences()) == [("in", e)]
 
     def test_order_is_creation_order(self):
         g = Graph(make_schema())
@@ -269,7 +278,7 @@ class TestIncidence:
         n = g.create_vertex("Node")
         e1 = g.create_edge("Edge_LinksToSrc", ev, n)
         e2 = g.create_edge("Edge_LinksToTrg", ev, n)
-        assert ev.incidences("both") == [("out", e1), ("out", e2)]
+        assert list(ev.incidences()) == [("out", e1), ("out", e2)]
 
     def test_class_filter_includes_subclasses(self):
         s = Schema("t")
@@ -296,7 +305,7 @@ class TestIncidence:
         g = Graph(s)
         v = g.create_vertex("A")
         e = g.create_edge("E", v, v)
-        assert v.incidences("both") == [("out", e), ("in", e)]
+        assert list(v.incidences()) == [("out", e), ("in", e)]
         assert run_query("degree(x)", g, {"x": v}) == 2
 
 
@@ -419,7 +428,7 @@ def test_delete_edge_keeps_incidence_order(script):
             for v in {id(e.start): e.start, id(e.end): e.end}.values():
                 expected[id(v)] = [x for x in expected[id(v)] if x[1] is not e]
         for v in vs:
-            assert v.incidences() == expected[id(v)]
-            assert v.incidences("in") == [
+            assert list(v.incidences()) == expected[id(v)]
+            assert [x for x in v.incidences() if x[0] == "in"] == [
                 x for x in expected[id(v)] if x[0] == "in"]
 
