@@ -76,6 +76,14 @@ def cmd_query(args, read) -> list[tuple[str | None, str]]:
 def cmd_transform(args, read) -> list[tuple[str | None, str]]:
     from gretlite.transform import execute, parse_script
 
+    named: dict[str, str] = {}  # real path -> the option that names it
+    for option in ("out", "trace", "dot"):
+        path = getattr(args, option)
+        if path is not None:
+            first = named.setdefault(os.path.realpath(path), option)
+            if first != option:
+                raise UsageError(
+                    f"--{first} and --{option} name the same file: {path}")
     target_schema = load_schema(read(args.target_schema))
     transformation = parse_script(read(args.script))
     if args.in_place and args.source is None:

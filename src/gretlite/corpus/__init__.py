@@ -12,7 +12,6 @@ this directory write files equal to the goldens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
 
 from gretlite import cli
@@ -59,13 +58,12 @@ TASKS: tuple[tuple, ...] = (
 )
 
 
-@dataclass
 class TaskResult:
-    number: int
-    title: str
-    passed: bool
-    failure: str | None = None
-    outputs: dict = field(default_factory=dict)
+    def __init__(self, number: int, title: str, passed: bool,
+                 failure: str | None = None):
+        self.number, self.title = number, title
+        self.passed, self.failure = passed, failure
+        self.outputs: dict[str, str] = {}  # every file written, by name
 
 
 def default_root():

@@ -10,11 +10,11 @@ within one graph lifetime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
 from gretlite.errors import GraphError, SchemaError
+from gretlite.record import Record
 
 
 class AttrType(Enum):
@@ -49,23 +49,17 @@ _DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class VertexClass:
-    name: str
-    is_abstract: bool = False
-    supertypes: tuple[str, ...] = ()
-    attributes: tuple[tuple[str, AttrType], ...] = ()
+class VertexClass(Record):
+    # attributes: tuple of (name, AttrType) pairs, the class's own
+    __slots__ = ("name", "is_abstract", "supertypes", "attributes")
+    _defaults = {"is_abstract": False, "supertypes": (), "attributes": ()}
 
 
-@dataclass(frozen=True)
-class EdgeClass:
-    name: str
-    from_class: str
-    to_class: str
-    is_abstract: bool = False
-    supertypes: tuple[str, ...] = ()
-    is_aggregation: bool = False
-    attributes: tuple[tuple[str, AttrType], ...] = ()
+class EdgeClass(Record):
+    __slots__ = ("name", "from_class", "to_class", "is_abstract", "supertypes",
+                 "is_aggregation", "attributes")
+    _defaults = {"is_abstract": False, "supertypes": (),
+                 "is_aggregation": False, "attributes": ()}
 
 
 class Schema:

@@ -1,106 +1,77 @@
 """AST node types for the query language."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from gretlite.record import Record
 
 
-@dataclass(frozen=True)
-class ClassSpec:
-    name: str
-    exact: bool = False  # True for T! (no subclasses)
+class ClassSpec(Record):
+    __slots__ = ("name", "exact")  # exact: True for T! (no subclasses)
+    _defaults = {"exact": False}
 
 
-@dataclass(frozen=True)
-class PathStep:
-    direction: str  # "out" -->, "in" <--, "both" <->, "agg" <>--
-    classes: tuple[ClassSpec, ...] = ()
+class PathStep(Record):
+    # direction: "out" -->, "in" <--, "both" <->, "agg" <>--
+    __slots__ = ("direction", "classes")  # classes: tuple[ClassSpec, ...]
+    _defaults = {"classes": ()}
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: object
+class Literal(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class VarRef(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class DollarRef:
-    pass
+class DollarRef(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    kind: str  # "V" or "E"
-    classes: tuple[ClassSpec, ...] = ()  # empty = all
+class ElementSet(Record):
+    __slots__ = ("kind", "classes")  # "V" or "E"; ClassSpecs, empty = all
+    _defaults = {"classes": ()}
 
 
-@dataclass(frozen=True)
-class DeclGroup:
-    names: tuple[str, ...]
-    domain: object
+class DeclGroup(Record):
+    __slots__ = ("names", "domain")
 
 
-@dataclass(frozen=True)
-class Comprehension:
-    decls: tuple[DeclGroup, ...]
-    condition: object | None
-    kind: str  # "list", "set", "map"
-    exprs: tuple = ()  # report projections; for "map" the key expression
-    value_expr: object | None = None  # mapped value for "map"
+class Comprehension(Record):
+    # kind: "list", "set", "map"; exprs: the report projections, for "map"
+    # the key expression; value_expr: the mapped value for "map", else None
+    __slots__ = ("decls", "condition", "kind", "exprs", "value_expr")
+    _defaults = {"exprs": (), "value_expr": None}
 
 
-@dataclass(frozen=True)
-class PathApply:
-    start: object
-    steps: tuple[PathStep, ...]
+class PathApply(Record):
+    __slots__ = ("start", "steps")  # steps: tuple[PathStep, ...]
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    classes: tuple[ClassSpec, ...] | None
-    args: tuple
+class Call(Record):
+    __slots__ = ("name", "classes", "args")  # classes: None or ClassSpecs
 
 
-@dataclass(frozen=True)
-class MapLit:
-    entries: tuple[tuple[object, object], ...]
+class MapLit(Record):
+    __slots__ = ("entries",)  # tuple of (key, value) expression pairs
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "neg", "not"
-    operand: object
+class Unary(Record):
+    __slots__ = ("op", "operand")  # op: "neg", "not"
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
+class Binary(Record):
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Conditional:
-    condition: object
-    then_expr: object
-    else_expr: object
+class Conditional(Record):
+    __slots__ = ("condition", "then_expr", "else_expr")
 
 
-@dataclass(frozen=True)
-class AttrAccess:
-    target: object
-    name: str
+class AttrAccess(Record):
+    __slots__ = ("target", "name")
 
 
-@dataclass(frozen=True)
-class Index:
-    target: object
-    index: object
+class Index(Record):
+    __slots__ = ("target", "index")
 
 
 def children(node) -> tuple:

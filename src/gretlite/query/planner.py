@@ -40,9 +40,6 @@ from gretlite.query import nodes as n
 _NONE = frozenset()
 
 
-# Plain classes: creating a dataclass costs most of a millisecond at
-# import, and import time is part of every run's start-up.
-
 class Join:
     """A hash index over a level's domain, built once per `evaluate`."""
 

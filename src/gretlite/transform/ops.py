@@ -1,12 +1,9 @@
 """Operation and template types of the transformation script language."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from gretlite.record import Record
 
 
-@dataclass(frozen=True)
-class TemplateVertex:
+class TemplateVertex(Record):
     """One parenthesized template item.
 
     Exactly one of `class_name` (a vertex to create, with mandatory
@@ -14,71 +11,49 @@ class TemplateVertex:
     element to preserve) is set.
     """
 
-    alias: str
-    class_name: str | None = None
-    arch: object | None = None
-    ref: object | None = None
-    assigns: tuple[tuple[str, object], ...] = ()
+    __slots__ = ("alias", "class_name", "arch", "ref", "assigns")
+    _defaults = {"class_name": None, "arch": None, "ref": None, "assigns": ()}
 
     @property
     def is_ref(self) -> bool:
         return self.ref is not None
 
 
-@dataclass(frozen=True)
-class TemplateEdge:
-    class_name: str
-    start_alias: str
-    end_alias: str
-    arch: object | None = None
-    assigns: tuple[tuple[str, object], ...] = ()
+class TemplateEdge(Record):
+    __slots__ = ("class_name", "start_alias", "end_alias", "arch", "assigns")
+    _defaults = {"arch": None, "assigns": ()}
 
 
-@dataclass(frozen=True)
-class Template:
-    vertices: tuple[TemplateVertex, ...]
-    edges: tuple[TemplateEdge, ...]
+class Template(Record):
+    __slots__ = ("vertices", "edges")  # TemplateVertex and TemplateEdge tuples
 
 
-@dataclass(frozen=True)
-class CreateVertices:
-    class_name: str
-    query: object
+class CreateVertices(Record):
+    __slots__ = ("class_name", "query")
 
 
-@dataclass(frozen=True)
-class CreateEdges:
-    class_name: str
-    query: object
+class CreateEdges(Record):
+    __slots__ = ("class_name", "query")
 
 
-@dataclass(frozen=True)
-class SetAttributes:
-    class_name: str
-    attr_name: str
-    query: object
+class SetAttributes(Record):
+    __slots__ = ("class_name", "attr_name", "query")
 
 
-@dataclass(frozen=True)
-class CreateSubgraph:
-    template: Template
-    query: object
+class CreateSubgraph(Record):
+    __slots__ = ("template", "query")
 
 
-@dataclass(frozen=True)
-class MatchReplace:
-    template: Template
-    query: object
+class MatchReplace(Record):
+    __slots__ = ("template", "query")
 
 
-@dataclass(frozen=True)
-class Delete:
-    query: object
+class Delete(Record):
+    __slots__ = ("query",)
 
 
-@dataclass(frozen=True)
-class Iteratively:
-    body: tuple
+class Iteratively(Record):
+    __slots__ = ("body",)
 
 
 Op = (
@@ -87,7 +62,5 @@ Op = (
 )
 
 
-@dataclass(frozen=True)
-class Transformation:
-    name: str
-    ops: tuple
+class Transformation(Record):
+    __slots__ = ("name", "ops")

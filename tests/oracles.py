@@ -7,7 +7,6 @@ transformation engine, so these results can check those components.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 from gretlite import model
@@ -15,6 +14,7 @@ from gretlite.errors import GraphError, ParseError, SchemaError
 from gretlite.lexer import _STRING_ESCAPES, _SYMBOLS, Token, TokenStream, tokenize
 from gretlite.query import nodes
 from gretlite.query.evaluator import evaluate
+from gretlite.record import Record
 from gretlite.values import OrderedSet, ValueMap, value_key
 
 LINK_CLASSES = ("Edge_LinksToSrc", "Edge_LinksToTrg")
@@ -230,10 +230,9 @@ def naive_eval(expr, graph, row):
             return nodes.VarRef(name)
         if isinstance(node, tuple):
             return tuple(swap(part) for part in node)
-        if dataclasses.is_dataclass(node):
-            return dataclasses.replace(node, **{
-                f.name: swap(getattr(node, f.name))
-                for f in dataclasses.fields(node)})
+        if isinstance(node, Record):
+            return type(node)(*(swap(getattr(node, f))
+                                for f in node.__slots__))
         return node
 
     return evaluate(swap(expr), graph, {**row, **inner})

@@ -154,6 +154,26 @@ def test_failed_transform_leaves_no_output(workdir, capsys):
     assert ".gretlite-" not in err
 
 
+@pytest.mark.parametrize("first, second", [
+    ("--out", "--trace"), ("--out", "--dot"), ("--trace", "--dot")])
+def test_output_named_twice_is_a_usage_error(workdir, capsys, monkeypatch,
+                                             first, second):
+    target = workdir / "a.glg"
+    target.write_text("untouched\n", encoding="utf-8")
+    monkeypatch.chdir(workdir)
+    argv = ["transform", "09-reverse-edges.grt", "graph1.gls",
+            "--source", "sample1.glg", "--in-place",
+            first, "a.glg", second, "./a.glg"]
+    if first != "--out":
+        argv += ["--out", "out.glg"]
+    before = sorted(os.listdir(workdir))
+    assert main(argv) == 1
+    assert target.read_text(encoding="utf-8") == "untouched\n"
+    assert sorted(os.listdir(workdir)) == before
+    err = capsys.readouterr().err
+    assert f"{first} and {second} name the same file: ./a.glg" in err
+
+
 def test_transform_outputs_get_umask_permissions(workdir):
     old_umask = os.umask(0o027)
     try:
@@ -212,6 +232,31 @@ def test_query_imports_neither_transform_nor_corpus(workdir):
         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n6\n[]\n"
+
+
+_HEAVY = """
+import sys
+import gretlite.cli
+heavy = ("dataclasses", "inspect")
+seen = [sorted(m for m in heavy if m in sys.modules)]
+for command in sys.argv[1:]:
+    assert gretlite.cli.main(command.split()) == 0
+    seen.append(sorted(m for m in heavy if m in sys.modules))
+print(seen)
+"""
+
+
+def test_no_run_imports_dataclasses_or_inspect(workdir):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-c", _HEAVY,
+         "query graph1.gls sample1.glg 04-count-nodes.grq",
+         "transform 09-reverse-edges.grt graph1.gls --source sample1.glg "
+         "--in-place --out out.glg --trace trace.txt --dot out.dot",
+         "corpus"],
+        capture_output=True, text=True, env=env, cwd=workdir, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[[], [], [], []]"
 
 
 def test_trace_clash_report_ignores_hash_seed(tmp_path):
