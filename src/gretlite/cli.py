@@ -76,14 +76,20 @@ def cmd_query(args, read) -> list[tuple[str | None, str]]:
 def cmd_transform(args, read) -> list[tuple[str | None, str]]:
     from gretlite.transform import execute, parse_script
 
-    named: dict[str, str] = {}  # real path -> the option that names it
-    for option in ("out", "trace", "dot"):
-        path = getattr(args, option)
-        if path is not None:
-            first = named.setdefault(os.path.realpath(path), option)
-            if first != option:
-                raise UsageError(
-                    f"--{first} and --{option} name the same file: {path}")
+    # No output may replace another output or an input, but `--out` the
+    # source.  `named` maps each real path to the first file naming it.
+    named: dict[str, str] = {}
+    for what, path in (("the script", args.script),
+                       ("the target schema", args.target_schema),
+                       ("--source-schema", args.source_schema),
+                       ("--source", args.source), ("--out", args.out),
+                       ("--trace", args.trace), ("--dot", args.dot)):
+        if path is None:
+            continue
+        first = named.setdefault(os.path.realpath(path), what)
+        if first != what and what in ("--out", "--trace", "--dot") and (
+                first, what) != ("--source", "--out"):
+            raise UsageError(f"{first} and {what} name the same file: {path}")
     target_schema = load_schema(read(args.target_schema))
     transformation = parse_script(read(args.script))
     if args.in_place and args.source is None:
@@ -95,8 +101,7 @@ def cmd_transform(args, read) -> list[tuple[str | None, str]]:
             if args.in_place:
                 raise UsageError(
                     "--source-schema conflicts with --in-place; an in-place "
-                    "run rewrites the source under the target schema"
-                )
+                    "run rewrites the source under the target schema")
             source_schema = load_schema(read(args.source_schema))
         source = load_graph(read(args.source), source_schema)
     result = execute(transformation, source, target_schema=target_schema,
@@ -143,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     transform.add_argument("--source", help="source graph file (.glg)")
     transform.add_argument(
         "--source-schema",
-        help="schema of the source graph (defaults to the target schema)",
-    )
+        help="schema of the source graph (defaults to the target schema)")
     transform.add_argument("--in-place", action="store_true",
                            help="rewrite the source graph itself")
     transform.add_argument("--out", required=True, help="output graph file")

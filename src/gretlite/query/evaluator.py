@@ -2,63 +2,62 @@
 
 `evaluate` compiles its expression into nested closures, one per node,
 each a function from a `Bindings` to the node's value, and then runs
-them.  Compiling is done once per call and resolves what the tree alone
-fixes: the builtin a call names, how an operator chain combines its
-operands (from the leftmost one up, without recursion), and the plan of
-each comprehension (`gretlite.query.planner`):
+them.  Compiling resolves what the tree alone fixes: the builtin a call
+names, how an operator chain combines its operands (from the leftmost one
+up, without recursion), and the plan of each comprehension
+(`gretlite.query.planner`), whose joins and semi-joins bind a level's
+hits, in domain order, from a position index over its domain.
 
-* each conjunct of the `with` clause is checked right after the level that
-  binds the last variable it mentions, so a partial row is dropped at its
-  first conjunct that is not `true` (conjuncts over no variable are checked
-  once, before the loops);
-* an equality between the newest variable and earlier ones is a hash join
-  on `value_key` over the level's domain, whose buckets keep domain order;
-* subexpressions over no comprehension variable are computed at most once.
+Each piece of work is done once per call and key.  A path or
+comprehension in a loop that mentions, of the comprehension variables in
+scope, only ones bound before its level is computed at most once per key,
+the values of those variables; so is any subexpression in a loop that
+mentions none, with the empty key.  Elements key by identity, strings,
+integers and booleans by type and value, and any other value bypasses
+the memo: `value_key` would make `1` and `1.0` one key, but `1 ++ ""` and
+`1.0 ++ ""` differ.  Memos are shared by shape, so the two copies of `C`
+in `tup(count(C), C)` are computed once.
 
-What depends on the graph or the bindings is computed on first use and
-then kept in a slot of the call's `_Compiler`, a list whose indexes are
-handed out while compiling: the value of each invariant subexpression,
-the index of each join, and the class names that the class specs of each
-path step and `degree{...}` resolve to.  So an unknown class, like an
-unknown function or a wrong number of arguments, fails only when it is
-evaluated, and a schema that gains classes between calls is seen by the
-next call.  Nothing outlives the call.
+Join indexes and the class names that the class specs of path steps and
+`degree{...}` resolve to are memoised with the empty key too: computed
+on first use, once per call.  So an unknown class, like an unknown
+function or a wrong number of arguments, fails only when it is evaluated,
+and a schema that gains classes between calls is seen by the next call.
 
 A row is kept only if every conjunct is `true`, and rows come out in the
 order of the nested loops, so a plan changes what is computed, not the
-result.  Because conjuncts are checked in plan order, a `with` clause that
-raises an error on some binding may raise it on another binding than
-left-to-right evaluation would, or not at all.
-
-Evaluation is a pure function of (expression, graph, bindings): repeated
-runs yield structurally equal values with identical iteration orders,
-because every collection is built in graph creation order.
+result.  Conjuncts are checked in plan order, and a join computes its
+index and probe before its level's checks, so a `with` clause that raises
+an error on some binding may raise it on another binding than
+left-to-right evaluation would, or on none, or where that would raise
+none.  Evaluation is a pure function of (expression, graph, bindings):
+every collection is built in graph creation order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 from gretlite import model
 from gretlite.errors import GraphError, QueryError, SchemaError
 from gretlite.query import nodes as n
 from gretlite.query.parser import parse_query
-from gretlite.query.planner import Level, Plan, Planner
-from gretlite.values import (
-    UNDEFINED,
-    OrderedSet,
-    ValueMap,
-    is_collection,
-    leaves,
-    to_text,
-    value_equal,
-    value_key,
-)
+from gretlite.query.planner import Level, Planner
+from gretlite.values import (UNDEFINED, OrderedSet, ValueMap, is_collection,
+                             leaves, to_text, value_equal, value_key)
 
 _MISSING = object()
+_NONE = frozenset()
+_TOP = (_NONE, _NONE, None)  # where a query's root is evaluated
+_UNMEMOISED = (n.Literal, n.VarRef, n.DollarRef)  # nothing to save
+_KEYED = (n.PathApply, n.Comprehension)  # work worth a memo with a key
 _COMPARISONS = frozenset(("=", "<>", "<", "<=", ">", ">="))
 _LOGIC = frozenset(("and", "or"))
+_OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge, "+": operator.add, "-": operator.sub,
+              "*": operator.mul, "/": operator.truediv, "%": operator.mod}
 # the incidence direction a path step follows; `both` follows either
 _STEP_WANT = {"out": "out", "agg": "out", "in": "in"}
 
@@ -68,8 +67,7 @@ class Bindings:
 
     `fallback` (root scope only) resolves names the chain does not hold,
     e.g. the trace maps a transformation exposes; it returns None for
-    unknown names.  `dollar` carries the current-member binding.
-    """
+    unknown names.  `dollar` carries the current-member binding."""
 
     __slots__ = ("_vars", "_parent", "_fallback", "_dollar")
 
@@ -105,11 +103,9 @@ class Bindings:
 
 
 def _as_bindings(bindings) -> Bindings:
-    if bindings is None:
-        return Bindings()
     if isinstance(bindings, Bindings):
         return bindings
-    return Bindings(dict(bindings))
+    return Bindings(bindings)
 
 
 def _is_number(v) -> bool:
@@ -123,7 +119,7 @@ def _require_bool(v, what: str):
 
 
 def evaluate(expr, graph: model.Graph, bindings=None):
-    return _Compiler(graph).compile(expr)(_as_bindings(bindings))
+    return _Compiler(graph, expr).compile(expr)(_as_bindings(bindings))
 
 
 def run_query(text: str, graph: model.Graph, bindings=None, **parse_kwargs):
@@ -214,22 +210,31 @@ def _element_set(graph: model.Graph, node: n.ElementSet):
 
 
 class _Compiler:
-    """Compiles the expression of one `evaluate` call, and holds what the
-    call shares: the graph, and the slots of what is computed once."""
+    """Compiles the expression `root` of one `evaluate` call, and holds
+    what the call shares: the graph, the query's planner and the memoised
+    closures by shape, whose tables are the call's own."""
 
-    __slots__ = ("graph", "slots")
+    __slots__ = ("graph", "root", "planner", "shared")
 
-    def __init__(self, graph: model.Graph):
-        self.graph = graph
-        self.slots: list = []
+    def __init__(self, graph: model.Graph, root):
+        self.graph, self.root = graph, root
+        self.planner: Planner | None = None  # made at the first comprehension
+        self.shared: dict = {}  # (shape, key names) -> memoised closure
 
-    def compile(self, node, planner: Planner | None = None):
-        """A function from a `Bindings` to the value of `node`.  Inside a
-        comprehension, `planner` is its query's: an invariant subexpression
-        is computed once, and a nested comprehension is planned with it."""
-        if (planner is not None and planner.invariant(node)
-                and not isinstance(node, n.Literal)):
-            return self.once(self.compile(node))
+    def compile(self, node, at=_TOP):
+        """A function from a `Bindings` to the value of `node`, evaluated
+        where `at` says: (the comprehension variables in scope, those not
+        bound before its level, the key of the memo computing it or None)."""
+        if self.planner is None and isinstance(node, n.Comprehension):
+            self.planner = Planner(self.root)
+        names = self.planner and self.memo_names(node, at)
+        if names is not None:
+            slot = (self.planner.shape[id(node)], names)
+            if slot not in self.shared:
+                self.shared[slot] = self.memo(
+                    self.compile(node, (at[0], at[1], names)),
+                    tuple(sorted(names)))
+            return self.shared[slot]
         match node:
             case n.Literal(value=value):
                 return lambda env: value
@@ -241,11 +246,10 @@ class _Compiler:
                 graph = self.graph
                 return lambda env: _element_set(graph, node)
             case n.Comprehension():
-                planner = planner or Planner(node)
-                return self.comprehension(planner.plan(node), planner)
+                return self.comprehension(node, at)
             case n.Binary():
-                return self.binary(node, planner)
-        parts = [self.compile(part, planner) for part in n.children(node)]
+                return self.binary(node, at)
+        parts = [self.compile(part, at) for part in n.children(node)]
         match node:
             case n.PathApply():
                 return self.path(node, *parts)
@@ -295,34 +299,63 @@ class _Compiler:
                 return lambda env: _index(target(env), index(env))
         return _raiser(f"cannot evaluate {node!r}")
 
-    def once(self, fn):
-        """`fn`, computed on its first call and then kept for the call."""
-        slots, i = self.slots, len(self.slots)
-        slots.append(_MISSING)
+    def memo_names(self, node, at) -> frozenset | None:
+        """The variables keying the memo of `node` evaluated where `at`
+        says, or None if it is computed each time: a literal, variable or
+        `$`; what mentions its level's own variable; what a memo with its
+        key computes; outside every loop, what occurs once; and, with a
+        key, what is no path or comprehension (its work would cost about a
+        memo lookup).  Before the first comprehension, nothing is."""
+        planner = self.planner
+        if planner is None or isinstance(node, _UNMEMOISED):
+            return None
+        scope, fresh, held = at
+        names = planner.free[id(node)] & scope
+        if names & fresh or names == held or not (
+                scope or planner.count[planner.shape[id(node)]] > 1) or (
+                names and not isinstance(node, _KEYED)):
+            return None
+        return names
 
-        def once(env, *rest):
-            value = slots[i]
+    def memo(self, fn, names=()):
+        """`fn`, computed at most once per call for each key: the values
+        of the variables `names` (see the module docstring)."""
+        table = {}
+
+        def memo(env, *rest):
+            key = names and tuple([_memo_key(env.lookup(x)) for x in names])
+            value = table.get(key, _MISSING)
             if value is _MISSING:
-                value = slots[i] = fn(env, *rest)
+                if None in key:  # a value that bypasses the memo
+                    return fn(env, *rest)
+                value = table[key] = fn(env, *rest)
             return value
-        return once
+        return memo
 
     # -- comprehensions ----------------------------------------------------
 
-    def comprehension(self, plan: Plan, planner: Planner):
+    def comprehension(self, node: n.Comprehension, at):
+        """The nested loops of `node`'s plan.  Its pre-checks and first
+        domain are evaluated where `node` is; at level k, the domain with
+        the variables before k in scope, the rest with all of them, and
+        level k's not bound before."""
+        plan = self.planner.plan(node)
         what, levels = plan.what, plan.levels
-        pre = [self.compile(c, planner) for c in plan.pre_checks]
-        candidates = [self.candidates(level, k, planner)
-                      for k, level in enumerate(levels)]
         names = [level.name for level in levels]
-        checks = [[self.compile(c, planner) for c in level.checks]
-                  for level in levels]
-        exprs = [self.compile(e, planner) for e in plan.exprs]
-        if plan.kind == "map":
-            exprs.append(self.compile(plan.value_expr, planner))
+        inner = at[0] | frozenset(names)
+        pre = [self.compile(c, at) for c in plan.pre_checks]
+        candidates, checks = [], []
+        for k, level in enumerate(levels):
+            here = (inner, frozenset((level.name,)), None)
+            before = (at[0] | frozenset(names[:k]), _NONE, None) if k else at
+            candidates.append(self.candidates(level, k, before, here))
+            checks.append([self.compile(c, here) for c in level.checks])
+        exprs = [self.compile(e, here) for e in node.exprs]
+        if node.kind == "map":
+            exprs.append(self.compile(node.value_expr, here))
         project = exprs[0] if len(exprs) == 1 else (
             lambda scope: tuple([e(scope) for e in exprs]))
-        new, add = _RESULTS[plan.kind]
+        new, add = _RESULTS[node.kind]
         last = len(levels) - 1
 
         def comprehension(env):
@@ -353,59 +386,71 @@ class _Compiler:
             return result
         return comprehension
 
-    def candidates(self, level: Level, k: int, planner: Planner):
+    def candidates(self, level: Level, k: int, before, here):
         """A function from the row bound before level k, and the domains
-        of the levels so far, to an iterator over what level k may bind."""
+        of the levels so far, to an iterator over what level k may bind:
+        with a join, the domain positions its probe's value (or, for a
+        semi-join, its members) index, in domain order."""
         names, join = level.decl.names, level.join
+        bad = f"declaration domain of {', '.join(names)} must be a collection"
         domain = (None if level.domain is None
-                  else self.compile(level.domain, planner))
+                  else self.compile(level.domain, before))
         if join is not None:
-            key = self.compile(join.key, planner)
-            probe = self.compile(join.probe, planner)
-            index = self.once(lambda scope, pool: _join_index(
-                key, level.name, pool, scope))
+            many, name = join.many, level.name
+            key = (None if isinstance(join.key, n.VarRef)
+                   else self.compile(join.key, here))
+            probe = self.compile(join.probe, here)
+            index = self.memo(lambda scope, pool: _position_index(
+                key, name, pool, scope))
 
         def candidates(scope, pools):
             if domain is not None:  # the first name of its group
                 pool = domain(scope)
                 if not is_collection(pool):
-                    raise QueryError(
-                        f"declaration domain of {', '.join(names)} "
-                        "must be a collection"
-                    )
+                    raise QueryError(bad)
                 # collections are never changed once built, and an
                 # invariant domain is one value for the whole call: share
                 # it, uncopied
                 pools[k:k + len(names)] = [pool] * len(names)
-            if join is None:
-                return iter(pools[k])
+            pool = pools[k]
+            if join is None or not pool:
+                return iter(pool)
             value = probe(scope)
-            if value is UNDEFINED:
-                return iter(())
-            return iter(index(scope, pools[k]).get(value_key(value), ()))
+            if not many:
+                if value is UNDEFINED:
+                    return iter(())
+                members, positions = index(scope, pool)
+                hits = positions.get(value_key(value), ())
+            elif is_collection(value):
+                members, positions = index(scope, pool)
+                hits = sorted(p for key in {value_key(v) for v in value}
+                              for p in positions.get(key, ()))
+            else:
+                raise QueryError("contains expects a collection")
+            return map(members.__getitem__, hits)
         return candidates
 
     # -- operators, paths and calls ----------------------------------------
 
-    def binary(self, node: n.Binary, planner: Planner | None):
+    def binary(self, node: n.Binary, at):
         op = node.op
         if op in _COMPARISONS:
-            left = self.compile(node.left, planner)
-            right = self.compile(node.right, planner)
+            left = self.compile(node.left, at)
+            right = self.compile(node.right, at)
             return lambda env: _compare(op, left(env), right(env))
         # A left-associative chain such as `a + b - c` or `a and b or c`
         # is a left spine of one operator family; compile it from the
-        # leftmost operand up instead of recursing down it.  An invariant
-        # part of the spine is an operand of its own, computed once.
+        # leftmost operand up instead of recursing down it.  A memoised
+        # part of the spine is an operand of its own.
         logic = op in _LOGIC
         chain = []
         while (isinstance(node, n.Binary) and node.op not in _COMPARISONS
                and (node.op in _LOGIC) == logic
-               and not (chain and planner and planner.invariant(node))):
+               and not (chain and self.memo_names(node, at) is not None)):
             chain.append(node)
             node = node.left
-        first = self.compile(node, planner)
-        links = [(link.op, self.compile(link.right, planner))
+        first = self.compile(node, at)
+        links = [(link.op, self.compile(link.right, at))
                  for link in reversed(chain)]
         if not logic:
             def arithmetic(env):
@@ -425,7 +470,7 @@ class _Compiler:
 
     def path(self, node: n.PathApply, start):
         steps, graph = node.steps, self.graph
-        classes = self.once(lambda env: _step_classes(graph.schema, steps))
+        classes = self.memo(lambda env: _step_classes(graph.schema, steps))
 
         def path(env):
             value = start(env)
@@ -436,7 +481,7 @@ class _Compiler:
 
     def degree(self, node: n.Call, args):
         graph, specs = self.graph, node.classes
-        allowed = self.once(lambda env: _spec_names(
+        allowed = self.memo(lambda env: _spec_names(
             graph.schema, specs, graph.schema.edge_class) if specs else None)
 
         def degree(env):
@@ -464,16 +509,22 @@ def _raiser(message: str):
     return fail
 
 
-def _join_index(key, name: str, pool, scope: Bindings) -> dict:
-    """The members of `pool` by the `value_key` of `key` with `name` bound
-    to them, each bucket in domain order; an undefined key matches
-    nothing."""
-    index: dict = {}
-    for member in pool:
-        found = key(scope.child({name: member}))
-        if found is not UNDEFINED:
-            index.setdefault(value_key(found), []).append(member)
-    return index
+def _memo_key(value):
+    """`value` as part of a memo key, or None if it bypasses the memo."""
+    kind = type(value)
+    if kind is str or kind is int or kind is bool:
+        return kind, value
+    return value if isinstance(value, model.Element) else None
+
+
+def _position_index(key, name: str, pool, scope: Bindings):
+    """`pool` as a list, and its positions by the `value_key` of `key` with
+    `name` bound to each member (of the member itself if `key` is None)."""
+    members, positions = list(pool), {}
+    for p, member in enumerate(members):
+        found = member if key is None else key(scope.child({name: member}))
+        positions.setdefault(value_key(found), []).append(p)
+    return members, positions
 
 
 def _holds(checks, scope: Bindings, what: str) -> bool:
@@ -516,23 +567,12 @@ def _logic(op: str, left, right, env: Bindings):
 def _compare(op: str, left, right):
     if left is UNDEFINED or right is UNDEFINED:
         return False
-    if op == "=":
-        return value_equal(left, right)
-    if op == "<>":
-        return not value_equal(left, right)
-    if _is_number(left) and _is_number(right):
-        pass
-    elif isinstance(left, str) and isinstance(right, str):
-        pass
-    else:
+    if op == "=" or op == "<>":
+        return value_equal(left, right) == (op == "=")
+    if not (_is_number(left) and _is_number(right)
+            or isinstance(left, str) and isinstance(right, str)):
         raise QueryError(f"'{op}' expects two numbers or two strings")
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+    return _OPERATORS[op](left, right)
 
 
 def _arith(op: str, left, right):
@@ -542,23 +582,12 @@ def _arith(op: str, left, right):
         return to_text(left) + to_text(right)
     if not (_is_number(left) and _is_number(right)):
         raise QueryError(f"'{op}' expects numbers")
+    if op == "%" and not (isinstance(left, int) and isinstance(right, int)):
+        raise QueryError("'%' expects integers")
+    if op in ("/", "%") and right == 0:
+        raise QueryError("division by zero")
     try:
-        if op == "/":
-            if right == 0:
-                raise QueryError("division by zero")
-            result = left / right
-        elif op == "%":
-            if not (isinstance(left, int) and isinstance(right, int)):
-                raise QueryError("'%' expects integers")
-            if right == 0:
-                raise QueryError("division by zero")
-            result = left % right
-        elif op == "+":
-            result = left + right
-        elif op == "-":
-            result = left - right
-        else:
-            result = left * right
+        result = _OPERATORS[op](left, right)
     except OverflowError:  # an integer operand or quotient beyond a float
         raise QueryError(f"'{op}' result does not fit in a Double") from None
     if isinstance(result, float) and math.isnan(result):
@@ -581,25 +610,24 @@ def _index(target, index):
         raise QueryError("index must be an integer")
     if index < 0 or index >= len(target):
         raise QueryError(
-            f"index {index} out of range for length {len(target)}"
-        )
+            f"index {index} out of range for length {len(target)}")
     return target[index]
 
 
 # -- builtin functions --------------------------------------------------------
 
-def _arity(name, args, low, high=None):
-    high = low if high is None else high
-    if not (low <= len(args) <= high):
+def _arity(name, args, count):
+    if len(args) != count:
         raise QueryError(f"function '{name}' called with {len(args)} arguments")
 
 
-def _builtin_count(args):
-    _arity("count", args, 1)
-    coll = args[0]
-    if not (is_collection(coll) or isinstance(coll, ValueMap)):
-        raise QueryError("count expects a collection")
-    return len(coll)
+def _size(name, empty=False):
+    def size(args):
+        _arity(name, args, 1)
+        if not (is_collection(args[0]) or isinstance(args[0], ValueMap)):
+            raise QueryError(f"{name} expects a collection")
+        return len(args[0]) == 0 if empty else len(args[0])
+    return size
 
 
 def _builtin_the_element(args):
@@ -609,8 +637,7 @@ def _builtin_the_element(args):
         raise QueryError("theElement expects a collection")
     if len(coll) != 1:
         raise QueryError(
-            f"theElement expects exactly one element, got {len(coll)}"
-        )
+            f"theElement expects exactly one element, got {len(coll)}")
     return next(iter(coll))
 
 
@@ -622,14 +649,6 @@ def _builtin_contains(args):
     if isinstance(coll, (list, tuple)):
         return any(value_equal(member, needle) for member in coll)
     raise QueryError("contains expects a collection")
-
-
-def _builtin_is_empty(args):
-    _arity("isEmpty", args, 1)
-    coll = args[0]
-    if not (is_collection(coll) or isinstance(coll, ValueMap)):
-        raise QueryError("isEmpty expects a collection")
-    return len(coll) == 0
 
 
 def _builtin_key_set(args):
@@ -665,21 +684,20 @@ def _edge_endpoint(which):
         if not isinstance(args[0], model.Edge):
             raise QueryError(f"{which} expects an edge")
         return args[0].start if which == "startVertex" else args[0].end
-
     return fn
 
 
 _BUILTINS = {
-    "count": _builtin_count,
+    "count": _size("count"),
     "theElement": _builtin_the_element,
     "contains": _builtin_contains,
-    "isEmpty": _builtin_is_empty,
+    "isEmpty": _size("isEmpty", empty=True),
     "keySet": _builtin_key_set,
     "flatten": _builtin_flatten,
     "hasType": _builtin_has_type,
     "startVertex": _edge_endpoint("startVertex"),
     "endVertex": _edge_endpoint("endVertex"),
-    "set": lambda args: OrderedSet(args),
-    "list": lambda args: list(args),
-    "tup": lambda args: tuple(args),
+    "set": OrderedSet,
+    "list": list,
+    "tup": tuple,
 }

@@ -1,82 +1,60 @@
-"""Plans for comprehensions: early selection, hash equi-joins, invariants.
+"""Plans for comprehensions: early selection, index joins, shapes.
 
 A comprehension `from x1 : D1, x2 : D2, ... with c1 and c2 and ... report
 ...` binds one variable per level, in declaration order (each name of a
 multi-name group is a level of its own, over the group's one domain).  Its
-plan says what the evaluator checks at each level:
+plan says what the evaluator does at each level:
 
 * Placement.  The `with` clause's top-level `and` chain is split into
   conjuncts.  Each is checked right after the level that binds the last of
-  the comprehension's variables it mentions, so a partial row is dropped
-  as soon as one conjunct is not `true`; a conjunct over none of them is
-  checked once, before the loops.  Conjuncts of one level keep their
-  source order.
-* Joins.  A conjunct `A = B` placed at level k, where one side mentions
-  (of the query's comprehension variables) only level k's and the other
-  side some earlier ones of this comprehension, becomes a hash index:
-  the level's domain members are bucketed by the `value_key` of their
-  side, in domain order, and each row probes it with the other side.
-  The domain must mention no comprehension variable of the query, so
-  the evaluator builds the index once per `evaluate` call.  Any other
-  `=` stays a check.
-* Invariants.  `Planner.invariant` tells which subexpressions mention no
-  variable declared by any comprehension of the query; the evaluator
-  computes each largest one that is not a literal at most once per
-  `evaluate` call, on first use.
-* A `Planner` is made for the outermost comprehension of a query, its
-  root, and plans the nested ones too, since what is invariant depends
-  on the whole query.
+  the comprehension's variables it mentions, in source order; one over
+  none of them is checked once, before the loops.
+* Joins.  The first conjunct of level k of one of two forms is answered
+  from an index over the level's domain instead of being checked: `A = B`
+  where one side (the key) mentions, of the query's comprehension
+  variables, only level k's, and the other (the probe) some earlier ones;
+  or the semi-join `contains(S, x)`, where x is level k's variable and S
+  mentions only earlier ones.  The domain must mention no comprehension
+  variable, so one index serves the whole `evaluate` call.
 
-A plan holds the parsed nodes themselves and depends on the tree alone,
-not on the graph or the bindings; the evaluator turns it into closures
-(`gretlite.query.evaluator`).  All walks here use explicit stacks; only
-nested comprehensions recurse, and the parser bounds their depth.
+A `Planner` is made for the whole expression of an `evaluate` call.  It
+plans each comprehension in it, and knows the free variables of every
+node and its shape: an integer that two nodes share when they are
+structurally equal (`1` and `1.0`, or `-0.0` and `0.0`, are not), and how
+often each shape occurs.  The evaluator keys its memos on shapes.  A plan
+holds the parsed nodes and depends on the tree alone.  All walks here use
+explicit stacks; only nested comprehensions recurse, and the parser
+bounds their depth.
 """
 
 from __future__ import annotations
 
 from gretlite.query import nodes as n
+from gretlite.record import Record
 
 _NONE = frozenset()
 
 
-class Join:
-    """A hash index over a level's domain, built once per `evaluate`."""
+class Join(Record):
+    """A conjunct answered from an index over the level's domain: `key`
+    (over the level's variable) indexes it, and the value of `probe` (over
+    earlier ones), or with `many` (`contains(probe, key)`) each member of
+    it, looks it up."""
 
-    __slots__ = ("key", "probe")
-
-    def __init__(self, key, probe):
-        self.key = key  # side over the level's variable: indexes the domain
-        self.probe = probe  # side over earlier variables: looks it up
+    __slots__ = ("key", "probe", "many")
 
 
-class Level:
-    """One declared name, bound from its group's domain."""
+class Level(Record):
+    """A declared name, bound from its group's `domain` (on the first name
+    only), with its conjuncts but the `join` in source order (`checks`)."""
 
     __slots__ = ("name", "decl", "domain", "checks", "join")
 
-    def __init__(self, name: str, decl: n.DeclGroup, domain):
-        self.name = name
-        self.decl = decl
-        self.domain = domain  # the group's domain, on its first name only
-        self.checks = ()  # its conjuncts in source order, without the join
-        self.join: Join | None = None
 
+class Plan(Record):
+    """`what` labels a conjunct that is neither boolean nor undefined."""
 
-class Plan:
-    __slots__ = ("kind", "levels", "pre_checks", "exprs", "value_expr",
-                 "what")
-
-    def __init__(self, kind: str, levels, pre_checks, exprs, value_expr,
-                 what: str):
-        self.kind = kind  # "list", "set" or "map"
-        self.levels: tuple[Level, ...] = levels
-        self.pre_checks = pre_checks  # conjuncts over none of its variables
-        self.exprs = exprs
-        self.value_expr = value_expr
-        # the label of a conjunct that is neither boolean nor undefined:
-        # the whole clause, or one operand of its `and` chain
-        self.what = what
+    __slots__ = ("levels", "pre_checks", "what")
 
 
 def conjuncts(condition) -> list:
@@ -92,110 +70,110 @@ def conjuncts(condition) -> list:
     return out
 
 
-def free_variables(root) -> dict[int, frozenset]:
-    """Free variable names of `root` and of every node below it, by id."""
-    free: dict[int, frozenset] = {}
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        parts = n.children(node)
-        if not done:
-            stack.append((node, True))
-            stack.extend((part, False) for part in parts)
-        elif isinstance(node, n.VarRef):
-            free[id(node)] = frozenset((node.name,))
-        elif isinstance(node, n.Comprehension):
-            names, bound = set(), set()
-            for group, domain in zip(node.decls, parts):
-                names |= free[id(domain)] - bound
-                bound.update(group.names)
-            for part in parts[len(node.decls):]:
-                names |= free[id(part)] - bound
-            free[id(node)] = frozenset(names)
-        else:
-            names = _NONE
-            for part in parts:
-                if free[id(part)]:
-                    names = names | free[id(part)]
-            free[id(node)] = names
-    return free
-
-
-def _declared(root) -> frozenset:
-    names, stack = set(), [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, n.Comprehension):
-            for group in node.decls:
-                names.update(group.names)
-        stack.extend(n.children(node))
-    return frozenset(names)
+def _label(node) -> tuple:
+    """What tells `node` apart from a node of its class whose children
+    have the same shapes, as flat data: `Record` hashing would recurse."""
+    match node:
+        case n.Literal(value=value):  # tells 1 from 1.0, -0.0 from 0.0
+            return (type(value), repr(value))
+        case n.ElementSet(kind=text) | n.Call(name=text):
+            return (text, repr(node.classes))
+        case n.PathApply():
+            return (repr(node.steps),)
+        case n.Comprehension():
+            return (node.kind, tuple(g.names for g in node.decls),
+                    node.condition is None, node.value_expr is None)
+    return (getattr(node, "name", None), getattr(node, "op", None))
 
 
 class Planner:
-    """Plans the comprehensions of the query whose outermost comprehension
-    is `root`; the nodes it is asked about must lie within `root`."""
+    """Plans the comprehensions of the expression `root`; the nodes it is
+    asked about must lie within `root`."""
 
-    def __init__(self, root: n.Comprehension):
-        self.free = free_variables(root)
-        self.declared = _declared(root)
+    def __init__(self, root):
+        # by node id: its free variable names and its shape; by shape: how
+        # many nodes have it
+        self.free, self.shape, self.count = free, shape, count = {}, {}, {}
+        shapes: dict[tuple, int] = {}
+        declared = set()
+        order, stack = [], [root]  # parents before their parts
+        while stack:
+            node = stack.pop()
+            order.append((node, n.children(node)))
+            stack.extend(order[-1][1])
+        for node, parts in reversed(order):
+            ids = [id(part) for part in parts]
+            if isinstance(node, n.VarRef):
+                names = frozenset((node.name,))
+            elif isinstance(node, n.Comprehension):
+                names, bound = set(), set()
+                for group, i in zip(node.decls, ids):
+                    names |= free[i] - bound
+                    bound.update(group.names)
+                for i in ids[len(node.decls):]:
+                    names |= free[i] - bound
+                names = frozenset(names)
+                declared |= bound
+            else:
+                names = _NONE.union(*[free[i] for i in ids])
+            free[id(node)] = names
+            key = (type(node), _label(node), *[shape[i] for i in ids])
+            shape[id(node)] = k = shapes.setdefault(key, len(shapes))
+            count[k] = count.get(k, 0) + 1
+        self.declared = frozenset(declared)
 
     def invariant(self, node) -> bool:
+        """Whether `node` mentions no variable declared in the query."""
         return self.free[id(node)].isdisjoint(self.declared)
 
     def plan(self, node: n.Comprehension) -> Plan:
         """The plan of `node`: `root` or a comprehension within it."""
-        levels: list[Level] = []
-        level_of: dict[str, int] = {}  # name -> its last declaring level
-        for group in node.decls:
-            for i, name in enumerate(group.names):
-                level_of[name] = len(levels)
-                levels.append(
-                    Level(name, group, group.domain if i == 0 else None))
-
-        placed: list[list] = [[] for _ in levels]
+        decls = [(name, group, group.domain if i == 0 else None)
+                 for group in node.decls for i, name in enumerate(group.names)]
+        level_of = {name: k for k, (name, _, _) in enumerate(decls)}  # last
+        placed: list[list] = [[] for _ in decls]
         pre = []
         split = [] if node.condition is None else conjuncts(node.condition)
         for conjunct in split:
             mine = self.mentioned(conjunct, level_of)
             (placed[max(mine)] if mine else pre).append(conjunct)
 
-        for k, level in enumerate(levels):
-            rest = placed[k]
-            if self.invariant(level.decl.domain):
+        levels = []
+        for k, (name, group, domain) in enumerate(decls):
+            rest, join = placed[k], None
+            if self.invariant(group.domain):
                 for conjunct in rest:
-                    level.join = self.join(conjunct, k, level.name, level_of)
-                    if level.join is not None:
+                    join = self.join(conjunct, k, name, level_of)
+                    if join is not None:
                         rest = [c for c in rest if c is not conjunct]
                         break
-            level.checks = tuple(rest)
-
-        return Plan(
-            kind=node.kind,
-            levels=tuple(levels),
-            pre_checks=tuple(pre),
-            exprs=node.exprs,
-            value_expr=node.value_expr,
-            what="'and' operand" if len(split) > 1 else "with-clause",
-        )
+            levels.append(Level(name, group, domain, tuple(rest), join))
+        return Plan(tuple(levels), tuple(pre),
+                    "'and' operand" if len(split) > 1 else "with-clause")
 
     def mentioned(self, expr, level_of) -> set[int]:
         """The levels whose variables `expr` mentions."""
         return {level_of[x] for x in self.free[id(expr)] if x in level_of}
 
     def join(self, conjunct, k: int, name: str, level_of) -> Join | None:
-        """A join for `conjunct` at level k, whose domain is invariant:
-        the key side must mention no comprehension variable of the query
-        but the level's own, so one index serves the whole call."""
-        if not (isinstance(conjunct, n.Binary) and conjunct.op == "="):
-            return None
-        for key, probe in ((conjunct.left, conjunct.right),
-                           (conjunct.right, conjunct.left)):
-            # an invariant probe looks the index up once per evaluation,
-            # which gains nothing over checking the conjunct
+        """A join for `conjunct` at level k, whose domain is invariant: the
+        key side mentions no comprehension variable of the query but the
+        level's own, so one index serves the whole call, and the probe
+        only earlier ones.  An invariant probe of `=` would look the index
+        up once per call, which gains nothing over checking the conjunct."""
+        match conjunct:
+            case n.Call(name="contains", classes=None,
+                        args=(probe, n.VarRef(name=x) as key)) if x == name:
+                sides, many = [(key, probe)], True
+            case n.Binary(op="="):
+                sides, many = [(conjunct.left, conjunct.right),
+                               (conjunct.right, conjunct.left)], False
+            case _:
+                return None
+        for key, probe in sides:
             if (name in self.free[id(key)]
                     and self.free[id(key)].isdisjoint(self.declared - {name})
                     and all(j < k for j in self.mentioned(probe, level_of))
-                    and not self.invariant(probe)):
-                return Join(key, probe)
+                    and (many or not self.invariant(probe))):
+                return Join(key, probe, many)
         return None

@@ -174,6 +174,54 @@ def test_output_named_twice_is_a_usage_error(workdir, capsys, monkeypatch,
     assert f"{first} and {second} name the same file: ./a.glg" in err
 
 
+_IN_PLACE = ["transform", "09-reverse-edges.grt", "graph1.gls",
+             "--source", "sample1.glg", "--in-place", "--out", "out.glg"]
+_MIGRATION = ["transform", "09-reverse-edges.grt", "graph1.gls",
+              "--source", "sample1.glg", "--source-schema", "src.gls",
+              "--out", "out.glg"]
+
+
+@pytest.mark.parametrize("argv, option, named, victim", [
+    # the run that once left the script holding its trace report
+    (_IN_PLACE + ["--trace", "09-reverse-edges.grt"], "--trace",
+     "the script", "09-reverse-edges.grt"),
+    (_IN_PLACE[:-1] + ["09-reverse-edges.grt"], "--out", "the script",
+     "09-reverse-edges.grt"),
+    (_IN_PLACE[:-1] + ["graph1.gls"], "--out", "the target schema",
+     "graph1.gls"),
+    (_IN_PLACE + ["--dot", "./graph1.gls"], "--dot", "the target schema",
+     "graph1.gls"),
+    (_IN_PLACE + ["--trace", "sample1.glg"], "--trace", "--source",
+     "sample1.glg"),
+    (_IN_PLACE + ["--dot", "sample1.glg"], "--dot", "--source",
+     "sample1.glg"),
+    (_MIGRATION[:-1] + ["src.gls"], "--out", "--source-schema", "src.gls"),
+    (_MIGRATION + ["--trace", "src.gls"], "--trace", "--source-schema",
+     "src.gls"),
+], ids=["trace-script", "out-script", "out-schema", "dot-schema",
+        "trace-source", "dot-source", "out-source-schema",
+        "trace-source-schema"])
+def test_output_naming_an_input_is_a_usage_error(workdir, capsys,
+                                                 monkeypatch, argv, option,
+                                                 named, victim):
+    monkeypatch.chdir(workdir)
+    (workdir / "src.gls").write_text(corpus.read_text("graph1.gls"),
+                                     encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    assert main(argv) == 1
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+    err = capsys.readouterr().err
+    assert f"{named} and {option} name the same file: " in err
+    assert victim in err
+
+
+def test_out_may_rewrite_the_source(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert main(_IN_PLACE[:-1] + ["sample1.glg"]) == 0
+    assert (workdir / "sample1.glg").read_text(encoding="utf-8") == \
+        corpus.read_text("golden/09-out.glg")
+
+
 def test_transform_outputs_get_umask_permissions(workdir):
     old_umask = os.umask(0o027)
     try:

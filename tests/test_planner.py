@@ -12,9 +12,10 @@ from gretlite.errors import QueryError
 from gretlite.model import Graph, Schema
 from gretlite.query import evaluate, parse_query, run_query
 from gretlite.query import evaluator as ev
+from gretlite.query import nodes as n
 from gretlite.query import planner
 from gretlite.transform import parse_script
-from gretlite.values import ValueMap, render_value
+from gretlite.values import OrderedSet, ValueMap, render_value
 
 import genutil
 import oracles
@@ -144,6 +145,124 @@ def test_nested_comprehension_reads_outer_variables(sample1):
         rows(oracles.naive_comprehension(ast, sample1))
 
 
+# -- memos, semi-joins and shared closed subexpressions ---------------------
+
+_MEMBERS = ("1", "1.0", "0", "0.0", "-0.0", "true", "undefined", '"a"',
+            '"1"')
+_TEXTS = ('"1"', '"1.0"', '"0.0"', '"-0.0"', '"true"', '"v2"', '"a"')
+
+
+@st.composite
+def memoised_queries(draw):
+    """A 2-3 level comprehension over total conjuncts that give memos,
+    joins, semi-joins and shared closed subexpressions work to do, over
+    domains that may be empty or hold duplicates and `undefined`; half of
+    them as `tup(count(C), C)`."""
+    names, vertices, groups = [], [], []
+    for k in range(draw(st.integers(2, 3))):
+        if draw(st.booleans()):
+            options = ["V{Node}", "V", "list()",
+                       "flatten(list(V{Node}, V{Node}))"]
+            options += [f"{v} <--{{Edge_LinksToSrc}} -->{{Edge_LinksToTrg}}"
+                        for v in vertices]
+            vertices.append(f"x{k}")
+        else:
+            members = draw(st.lists(st.sampled_from(_MEMBERS), max_size=5))
+            # values that `value_key` unifies but `++` tells apart
+            options = [f"list({', '.join(members)})",
+                       "list(1, 1.0, true, -0.0, 0.0, 0)"]
+        names.append(f"x{k}")
+        groups.append(f"x{k} : {draw(st.sampled_from(options))}")
+    x = st.sampled_from(names)
+    members = st.lists(st.sampled_from(_MEMBERS), max_size=4).map(", ".join)
+    templates = [
+        st.builds("contains(list({}), {})".format, members, x),
+        st.builds("contains(set({}), {})".format, members, x),
+        st.builds("contains(V{{Node}}, {})".format, x),
+        st.builds("{} = {}".format, x, x),
+        st.builds('({} ++ "") = ({} ++ "")'.format, x, x),
+        st.builds('from z : list({}) report z ++ "" end = '
+                  'from z : list({}) report z ++ "" end'.format, x, x),
+        st.builds('(({} ++ "") = {} or {} = {})'.format,
+                  x, st.sampled_from(_TEXTS), x, x),
+        st.just("count(V{Node}) >= 0"),
+    ]
+    if vertices:
+        v = st.sampled_from(vertices)
+        templates += [
+            st.builds("contains({} <--{{Edge_LinksToSrc}} "
+                      "-->{{Edge_LinksToTrg}}, {})".format, v, x),
+            st.builds("not contains({} <->, {})".format, v, x),
+            st.builds("count({} <->) <= count({} <->)".format, v, v),
+            st.builds("isEmpty(from z : V{{Node}} with contains({} <->, z) "
+                      "and z <> {} report z end)".format, v, x),
+        ]
+    conjuncts = draw(st.lists(st.one_of(templates), max_size=5))
+    with_clause = f" with {' and '.join(conjuncts)}" if conjuncts else ""
+    row = f"tup({', '.join(names)}, count(V{{Node}}))"
+    report = draw(st.sampled_from((f"report {row}", f"reportSet {row}",
+                                   f"reportMap {row} -> {names[0]}")))
+    query = f"from {', '.join(groups)}{with_clause} {report} end"
+    return f"tup(count({query}), {query})" if draw(st.booleans()) else query
+
+
+@settings(max_examples=100, deadline=None)
+@given(memoised_queries(), st.integers(0, 2**16))
+# a semi-join on the path of an earlier variable, memoised per variable
+@example("from x0 : V{Node}, x1 : V{Node}, x2 : V{Node} "
+         "with contains(x0 <--{Edge_LinksToSrc} -->{Edge_LinksToTrg}, x1) "
+         "and contains(x1 <--{Edge_LinksToSrc} -->{Edge_LinksToTrg}, x2) "
+         "report tup(x0, x1, x2) end", 3)
+# a semi-join over a list with duplicates and undefined, and an empty one
+@example("from x0 : list(1, undefined, 1.0, true), x1 : list(undefined, 1, 1) "
+         "with contains(list(x0, 0), x1) and contains(list(), x0) "
+         "report tup(x0, x1) end", 0)
+def test_memos_and_semi_joins_match_nested_loops(text, seed):
+    graph = genutil.random_sample(random.Random(seed), max_nodes=4,
+                                  max_edges=5)
+    ast = parse_query(text)
+    expected = oracles.naive_eval(ast, graph, {})
+    actual = evaluate(ast, graph)
+    assert type(actual) is type(expected)
+    if isinstance(ast, n.Call):  # tup(count(C), C)
+        assert actual[0] == expected[0]
+        actual, expected = actual[1], expected[1]
+    assert rows(actual) == rows(expected)
+
+
+_TEXT_OF_X = 'from z : list(x) report z ++ "" end'
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('from x : list(1, 1.0), y : list(0) with (x ++ "") = "1.0" or y = 1 '
+     'reportList x end', ["1.0"]),
+    # the comprehension is memoised per x, one level deeper than x: a memo
+    # keyed on `value_key` would give 1.0 what it computed for 1
+    (f'from x : list(1, 1.0), y : list(0) with {_TEXT_OF_X} = list("1.0") '
+     'or y = 1 reportList x end', ["1.0"]),
+    (f'from x : list(0.0, -0.0), y : list(0) with {_TEXT_OF_X} = '
+     'list("-0.0") or y = 1 reportList x end', ["-0.0"]),
+    (f'from x : list(1, true), y : list(0) with {_TEXT_OF_X} = '
+     'list("true") or y = 1 reportList x end', ["true"]),
+])
+def test_memo_keys_tell_apart_what_concatenation_does(empty_graph, text,
+                                                      expected):
+    ast = parse_query(text)
+    assert planner.Planner(ast).plan(ast).levels[1].checks == \
+        (ast.condition,)
+    assert rows(evaluate(ast, empty_graph)) == expected
+    assert rows(oracles.naive_comprehension(ast, empty_graph)) == expected
+
+
+def test_semi_join_probes_nothing_over_an_empty_domain(empty_graph):
+    # the probe is not a collection, but there is nothing to look up
+    text = "from x : list(1), y : list() with contains(x, y) report y end"
+    assert run_query(text, empty_graph) == []
+    with pytest.raises(QueryError, match="contains expects a collection"):
+        run_query("from x : list(1), y : list(2) with contains(x, y) "
+                  "report y end", empty_graph)
+
+
 # -- placement and joins of the corpus queries -----------------------------
 
 def _where(plan):
@@ -159,13 +278,17 @@ def test_placement_of_circle_of_three():
     plan = planner.Planner(comprehension).plan(comprehension)
     c = planner.conjuncts(comprehension.condition)
     assert len(c) == 6
-    # n1 <> n2, n1 <> n3, n2 <> n3, contains(n1..n2), (n2..n3), (n3..n1)
+    # n1 <> n2, n1 <> n3, n2 <> n3, contains(n1..n2), (n2..n3), (n3..n1):
+    # n2 and n3 are semi-joins on the paths of n1 and n2; contains(n3..n1)
+    # tests n1, not its level's variable, so it stays a check
     assert plan.pre_checks == ()
     assert _where(plan) == {
         "n1": ((), None),
-        "n2": ((c[0], c[3]), None),
-        "n3": ((c[1], c[2], c[4], c[5]), None),
+        "n2": ((c[0],), (c[3].args[1], c[3].args[0])),
+        "n3": ((c[1], c[2], c[5]), (c[4].args[1], c[4].args[0])),
     }
+    assert [level.join and level.join.many for level in plan.levels] == \
+        [None, True, True]
     assert plan.what == "'and' operand"
 
 
@@ -258,6 +381,30 @@ def test_circle_of_three_binds_fewer_rows_than_the_cross_product(
     assert counts["bindings"] < cross / 2
     # left to right, the first path is taken for every distinct triple
     assert counts["paths"] < nodes * (nodes - 1) * (nodes - 2)
+    # 6 rows of n1, 4 of n2 and 3 of n3; the path of each n1 (n2's
+    # semi-join), of each of the 3 distinct n2 (n3's, memoised per n2) and
+    # of each n3 row (its check `contains(n3 ..., n1)`)
+    assert counts == {"bindings": 6 + 4 + 3, "paths": 6 + 3 + 3}
+    # the whole query, tup(count(C), C), evaluates C once
+    counts.update(bindings=0, paths=0)
+    assert evaluate(query, sample1) == (3, result)
+    assert counts == {"bindings": 13, "paths": 12}
+
+
+def test_long_and_deep_queries_still_evaluate(sample1):
+    # shapes are computed without recursion, and a memo adds at most a
+    # frame per nesting level: a 5000-term chain in a loop, and 24
+    # comprehensions, each nested in the domain of the next (50 levels,
+    # the parser's limit), each with a shared closed pre-check
+    chain = " + ".join(["count(V{Node})"] * 5000)
+    assert run_query(f"from n : V{{Node}} reportSet {chain} end",
+                     sample1) == OrderedSet([30000])
+    deep, expected = "count(V{Node})", 6
+    for i in range(24):
+        deep = (f"from x{i} : list({deep}) with count(V{{Node}}) > 0 "
+                f"report x{i} end")
+        expected = [expected]
+    assert run_query(deep, sample1) == expected
 
 
 def test_invariants_are_evaluated_once_per_call(sample1, monkeypatch):
@@ -271,10 +418,11 @@ def test_invariants_are_evaluated_once_per_call(sample1, monkeypatch):
     monkeypatch.setattr(ev, "_element_set", counting)
     run_query("from a : V{Node}, b : V{Node} with count(V{Edge_}) > 0 "
               "report tup(a, b) end", sample1)
-    # V{Node} twice and V{Edge_}; nested loops took 1 + 6 + 1
-    assert len(calls) == 3
+    # V{Edge_}, and V{Node} once for both domains, which are structurally
+    # equal; nested loops took 1 + 6 + 1
+    assert len(calls) == 2
     run_query("from a : V{Node} report a end", sample1)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_class_sets_follow_the_schema():
