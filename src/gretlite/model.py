@@ -1,10 +1,10 @@
 """Typed, attributed graph model and the schema layer it conforms to.
 
 A schema declares vertex classes and edge classes with single or multiple
-inheritance and typed attributes.  A graph holds typed vertices and edges;
-every sequence the graph exposes (vertices, edges, per-vertex incidences)
-follows creation order, and element ids are dense per kind and never reused
-within one graph lifetime.
+inheritance and typed attributes.  A graph holds typed vertices and edges,
+each one object and an attribute dict, and a vertex one flag per incident
+edge.  Every sequence a graph exposes follows creation order, and element
+ids are dense per kind and never reused within one graph.
 """
 
 from __future__ import annotations
@@ -307,24 +307,29 @@ class Element:
             raise GraphError(f"element {self.ref()} was deleted")
 
 
+OUT, IN = 1, 2  # how an edge meets a vertex; a loop is OUT | IN
+
+
 class Vertex(Element):
+    """A vertex.  `_entries` maps each incident edge to its flags, in the
+    edges' creation order: no object per incidence, and removing one
+    endpoint's entry is O(1)."""
+
     __slots__ = ("_entries",)
     _prefix = "v"
     kind = "vertex"
 
     def __init__(self, graph, eid, class_name):
         super().__init__(graph, eid, class_name)
-        # Combined incidence sequence in creation order, as the keys of an
-        # insertion-ordered dict so one entry is removed in O(1); a loop
-        # edge contributes one "out" and one "in" entry.
-        self._entries: dict[tuple[str, Edge], None] = {}
+        self._entries: dict[Edge, int] = {}
 
     def incidences(self):
-        """A read-only view of the (direction, edge) incidences, "out" or
-        "in", in creation order; it is not a copy, so do not change the
-        graph while iterating it."""
+        """The (direction, edge) incidences, "out" or "in", in creation
+        order, a loop's "out" before its "in"; do not change the graph
+        while iterating them."""
         self._require_alive()
-        return self._entries.keys()
+        return ((d, edge) for edge, flags in self._entries.items()
+                for d, bit in (("out", OUT), ("in", IN)) if flags & bit)
 
 
 class Edge(Element):
@@ -401,8 +406,8 @@ class Graph:
         e = Edge(self, self._next_eid, class_name, start, end)
         self._next_eid += 1
         self._edges[e.id] = e
-        start._entries[("out", e)] = None
-        end._entries[("in", e)] = None
+        start._entries[e] = OUT
+        end._entries[e] = end._entries.get(e, 0) | IN
         self._bump()
         return e
 
@@ -410,8 +415,8 @@ class Graph:
         if not isinstance(e, Edge) or e.graph is not self:
             raise GraphError("not an edge of this graph")
         e._require_alive()
-        del e.start._entries[("out", e)]
-        del e.end._entries[("in", e)]
+        del e.start._entries[e]
+        e.end._entries.pop(e, None)  # a loop's one entry is gone already
         del self._edges[e.id]
         e.alive = False
         self._bump()
@@ -426,11 +431,9 @@ class Graph:
         if not isinstance(v, Vertex) or v.graph is not self:
             raise GraphError("not a vertex of this graph")
         v._require_alive()
-        cascade: list[Edge] = []
-        for _, e in list(v._entries):
-            if e.alive:
-                self.delete_edge(e)
-                cascade.append(e)
+        cascade: list[Edge] = list(v._entries)  # each edge once, loops too
+        for e in cascade:
+            self.delete_edge(e)
         del self._vertices[v.id]
         v.alive = False
         self._bump()

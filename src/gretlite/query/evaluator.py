@@ -58,8 +58,9 @@ _LOGIC = frozenset(("and", "or"))
 _OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "+": operator.add, "-": operator.sub,
               "*": operator.mul, "/": operator.truediv, "%": operator.mod}
-# the incidence direction a path step follows; `both` follows either
-_STEP_WANT = {"out": "out", "agg": "out", "in": "in"}
+# the incidence flags a step follows: OUT to an edge's end, IN to its start
+_STEP_FOLLOWS = {"out": model.OUT, "agg": model.OUT, "in": model.IN,
+                 "both": model.OUT | model.IN}
 
 
 class Bindings:
@@ -143,20 +144,21 @@ def eval_path(graph: model.Graph, start: model.Vertex, steps,
         raise QueryError("path expressions start at a vertex")
     if classes is None:
         classes = _step_classes(graph.schema, steps)
+    start._require_alive()
     # a frontier is a dict of vertices, which hash by identity: ordered
     # and duplicate-free without a `value_key` per vertex
     frontier = {start: None}
     for step, allowed in zip(steps, classes):
-        want = _STEP_WANT.get(step.direction)
+        follow = _STEP_FOLLOWS[step.direction]
         out = {}
         for v in frontier:
-            for direction, edge in v.incidences():
+            for edge, flags in v._entries.items():
                 if allowed is not None and edge.class_name not in allowed:
                     continue
-                if direction == "out":
-                    if want != "in":
-                        out[edge.end] = None
-                elif want != "out":
+                flags &= follow
+                if flags & model.OUT:
+                    out[edge.end] = None
+                if flags & model.IN:
                     out[edge.start] = None
         frontier = out
     return OrderedSet(frontier)
@@ -491,7 +493,8 @@ class _Compiler:
             if not isinstance(v, model.Vertex):
                 raise QueryError("degree expects a vertex")
             names = allowed(env)
-            return sum(1 for _, edge in v.incidences()
+            v._require_alive()
+            return sum(flags.bit_count() for edge, flags in v._entries.items()
                        if names is None or edge.class_name in names)
         return degree
 

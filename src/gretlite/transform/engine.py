@@ -31,17 +31,10 @@ from gretlite import model
 from gretlite.errors import GretliteError, QueryError, TransformError
 from gretlite.query.evaluator import Bindings, evaluate
 from gretlite.transform import ops
-from gretlite.values import (
-    UNDEFINED,
-    OrderedSet,
-    ValueMap,
-    is_collection,
-    leaves,
-    render_value,
-    value_key,
-)
+from gretlite.values import (UNDEFINED, OrderedSet, ValueMap, is_collection,
+                             leaves, render_value, value_key)
 
-ROUND_LIMIT = 10_000
+ROUND_LIMIT = 1_000
 
 _MISSING = object()
 
@@ -55,6 +48,10 @@ class TraceabilityMap:
     of its supertypes.  Registration rejects an archetype that is already
     visible through any lookup class shared with the new entry.
 
+    Each lookup class also keeps its union, which an entry for C joins in
+    every superclass of C: `image` is one dict lookup, and `register` finds
+    a clash in the unions of C's superclasses.
+
     The union views handed to queries are built once per lookup class and
     kept until the next registration, which drops them all.  A dropped
     view is never changed, so a query that holds one keeps a consistent
@@ -63,36 +60,38 @@ class TraceabilityMap:
 
     def __init__(self, schema: model.Schema):
         self._schema = schema
-        # class -> value_key(archetype) -> (archetype, element)
+        # class -> value_key(archetype) -> (archetype, element), registered
+        # for the class itself, and (`_unions`) for it and its subclasses
         self._maps: dict[str, dict] = {}
+        self._unions: dict[str, dict] = {}
         # (class, inverse) -> img (False) or arch (True) union view
         self._views: dict[tuple[str, bool], ValueMap] = {}
 
     def register(self, class_name: str, archetype, element: model.Element):
         key = value_key(archetype)
-        shared = self._schema.superclasses(class_name)
-        clashes = [
-            cls for cls, entries in self._maps.items()
-            if key in entries
-            and not shared.isdisjoint(self._schema.superclasses(cls))
-        ]
-        if clashes:
-            first = next(c for c in self.classes() if c in clashes)
+        lookups = self._schema.superclasses(class_name)
+        unions = self._unions
+        hits = [unions[c][key] for c in lookups if key in unions.get(c, ())]
+        if hits:
+            first = next(c for c in self.classes()
+                         if any(self._maps[c].get(key) is h for h in hits))
             raise TransformError(
                 f"archetype {render_value(archetype)} already has an "
                 f"image visible via class '{first}'"
             )
-        self._maps.setdefault(class_name, {})[key] = (archetype, element)
+        entry = (archetype, element)
+        self._maps.setdefault(class_name, {})[key] = entry
+        for cls in lookups:
+            unions.setdefault(cls, {})[key] = entry
         self._views = {}
 
     def image(self, class_name: str, archetype) -> model.Element | None:
-        key = value_key(archetype)
-        for cls in self._schema.subclasses(class_name):
-            entries = self._maps.get(cls)
-            hit = entries.get(key) if entries is not None else None
-            if hit is not None:
-                return hit[1]
-        return None
+        union = self._unions.get(class_name)
+        if union is None:
+            self._schema.element_class(class_name)  # unknown: SchemaError
+            return None
+        hit = union.get(value_key(archetype))
+        return None if hit is None else hit[1]
 
     def img_value(self, class_name: str) -> ValueMap:
         """Union-view archetype -> image map for a class, as a query value."""
@@ -105,16 +104,10 @@ class TraceabilityMap:
     def _view(self, class_name: str, inverse: bool) -> ValueMap:
         view = self._views.get((class_name, inverse))
         if view is None:
-            view = ValueMap()
-            for cls in self._schema.subclasses(class_name):
-                entries = self._maps.get(cls)
-                if entries is not None:
-                    for arch, el in entries.values():
-                        if inverse:
-                            view.put(el, arch)
-                        else:
-                            view.put(arch, el)
-            self._views[(class_name, inverse)] = view
+            pairs = [(el, arch) if inverse else (arch, el)
+                     for cls in self._schema.subclasses(class_name)
+                     for arch, el in self.entries(cls)]
+            view = self._views[(class_name, inverse)] = ValueMap(pairs)
         return view
 
     def classes(self) -> list[str]:
@@ -123,8 +116,7 @@ class TraceabilityMap:
         return [c for c in ordered if self._maps.get(c)]
 
     def entries(self, class_name: str) -> list[tuple[object, model.Element]]:
-        entries = self._maps.get(class_name)
-        return list(entries.values()) if entries is not None else []
+        return list(self._maps.get(class_name, {}).values())
 
 
 class MatchReplaceStats(NamedTuple):

@@ -25,28 +25,28 @@ class _Undefined:
 
 
 UNDEFINED = _Undefined()
+_SELF_KEYED = frozenset((str, int, float, model.Vertex, model.Edge))
 
 
 def value_key(v):
     """Hashable structural identity of a value.
 
-    ints and floats unify numerically (1 and 1.0 are the same member);
-    bools are a distinct type; elements compare by identity.
+    Strings, numbers and elements are their own keys: they hash and compare
+    as members must (1 and 1.0 unify, as do -0.0 and 0.0; elements compare
+    by identity; NaN never becomes a value), and no tagged key equals them.
+    bools keep a tag, since True == 1 yet is another member; so do UNDEFINED
+    and the containers, whose keys are built from their members' keys.
     """
+    if type(v) in _SELF_KEYED:
+        return v
     if v is UNDEFINED:
         return ("u",)
     if isinstance(v, bool):
         return ("b", v)
-    if isinstance(v, (int, float)):
-        return ("n", v)
-    if isinstance(v, str):
-        return ("s", v)
-    if isinstance(v, model.Element):
-        return ("el", v)
     if isinstance(v, tuple):
-        return ("t", tuple(value_key(x) for x in v))
+        return ("t", tuple(map(value_key, v)))
     if isinstance(v, list):
-        return ("l", tuple(value_key(x) for x in v))
+        return ("l", tuple(map(value_key, v)))
     if isinstance(v, OrderedSet):
         return ("set", frozenset(v._items))
     if isinstance(v, ValueMap):

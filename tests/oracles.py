@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 
 from gretlite import model
-from gretlite.errors import GraphError, ParseError, SchemaError
+from gretlite.errors import GraphError, ParseError, SchemaError, TransformError
 from gretlite.lexer import _STRING_ESCAPES, _SYMBOLS, Token, TokenStream, tokenize
 from gretlite.query import nodes
 from gretlite.query.evaluator import evaluate
 from gretlite.record import Record
-from gretlite.values import OrderedSet, ValueMap, value_key
+from gretlite.values import (UNDEFINED, OrderedSet, ValueMap, render_value,
+                             value_key)
 
 LINK_CLASSES = ("Edge_LinksToSrc", "Edge_LinksToTrg")
 
@@ -506,3 +507,131 @@ def _literal(ts: TokenStream):
         ts.next()
         return False
     ts.error("expected a literal")
+
+
+def naive_value_key(v):
+    """Structural identity of a value with every atom tagged by its kind:
+    numbers ("n"), strings ("s"), elements ("el").  `values.value_key`
+    must make two values equal exactly when this does."""
+    if v is UNDEFINED:
+        return ("u",)
+    if isinstance(v, bool):
+        return ("b", v)
+    if isinstance(v, (int, float)):
+        return ("n", v)
+    if isinstance(v, str):
+        return ("s", v)
+    if isinstance(v, model.Element):
+        return ("el", v)
+    if isinstance(v, tuple):
+        return ("t", tuple(naive_value_key(x) for x in v))
+    if isinstance(v, list):
+        return ("l", tuple(naive_value_key(x) for x in v))
+    if isinstance(v, OrderedSet):
+        return ("set", frozenset(naive_value_key(x) for x in v))
+    if isinstance(v, ValueMap):
+        return ("m", frozenset((naive_value_key(k), naive_value_key(x))
+                               for k, x in v.items()))
+    raise TypeError(f"not a value: {v!r}")
+
+
+class NaiveIncidences:
+    """Each vertex's incidences as a list of ("out" | "in", edge) pairs,
+    mirrored from the operations applied to a graph: an edge appends its
+    "out" entry to its start and then its "in" entry to its end."""
+
+    def __init__(self):
+        self.lists: dict[model.Vertex, list] = {}
+
+    def create_vertex(self, v):
+        self.lists[v] = []
+
+    def create_edge(self, e):
+        self.lists[e.start].append(("out", e))
+        self.lists[e.end].append(("in", e))
+
+    def delete_edge(self, e):
+        for v in (e.start, e.end):
+            self.lists[v] = [x for x in self.lists[v] if x[1] is not e]
+
+    def delete_vertex(self, v):
+        """The deleted elements: `v`, then its edges in incidence order."""
+        cascade = []
+        for _, e in self.lists[v]:
+            if all(e is not c for c in cascade):
+                cascade.append(e)
+        for e in cascade:
+            self.delete_edge(e)
+        del self.lists[v]
+        return [v, *cascade]
+
+    def degree(self, v, allowed=None):
+        return sum(1 for _, e in self.lists[v]
+                   if allowed is None or e.class_name in allowed)
+
+    def path(self, start, steps):
+        """Vertices reachable by `steps`, (direction, allowed class names
+        or None) pairs with the parser's directions, in first-reached
+        order; "agg" follows edges forward, like "out"."""
+        frontier = [start]
+        for direction, allowed in steps:
+            reached = []
+            for v in frontier:
+                for d, e in self.lists[v]:
+                    if allowed is not None and e.class_name not in allowed:
+                        continue
+                    if d == "out" and direction in ("out", "both", "agg"):
+                        target = e.end
+                    elif d == "in" and direction in ("in", "both"):
+                        target = e.start
+                    else:
+                        continue
+                    if all(target is not r for r in reached):
+                        reached.append(target)
+            frontier = reached
+        return frontier
+
+
+class NaiveTraceabilityMap:
+    """Archetype -> image maps per class, where every lookup through a
+    class scans the maps of all its subclasses and every registration
+    scans all classes that hold entries for a clash."""
+
+    def __init__(self, schema: model.Schema):
+        self._schema = schema
+        self._maps: dict[str, dict] = {}
+
+    def register(self, class_name, archetype, element):
+        key = naive_value_key(archetype)
+        shared = naive_superclasses(self._schema, class_name)
+        clashes = [cls for cls, entries in self._maps.items()
+                   if key in entries
+                   and shared & naive_superclasses(self._schema, cls)]
+        if clashes:
+            first = next(c for c in self.classes() if c in clashes)
+            raise TransformError(
+                f"archetype {render_value(archetype)} already has an "
+                f"image visible via class '{first}'")
+        self._maps.setdefault(class_name, {})[key] = (archetype, element)
+
+    def image(self, class_name, archetype):
+        key = naive_value_key(archetype)
+        for cls in naive_subclasses(self._schema, class_name):
+            hit = self._maps.get(cls, {}).get(key)
+            if hit is not None:
+                return hit[1]
+        return None
+
+    def view_items(self, class_name, inverse):
+        """The img (or, if `inverse`, arch) view's items, in order: a key
+        seen again keeps its place and takes the later entry."""
+        items = {}
+        for cls in naive_subclasses(self._schema, class_name):
+            for arch, el in self._maps.get(cls, {}).values():
+                key, value = (el, arch) if inverse else (arch, el)
+                items[naive_value_key(key)] = (key, value)
+        return list(items.values())
+
+    def classes(self):
+        declared = self._schema.vertex_classes + self._schema.edge_classes
+        return [c.name for c in declared if self._maps.get(c.name)]

@@ -426,6 +426,23 @@ def test_deeply_nested_iteratively_is_a_parse_error(workdir, capsys):
     assert "nested more than 50 levels deep (line 52, column 1)" in err
 
 
+def test_runaway_iteratively_fails_after_round_limit(workdir, capsys):
+    # each round adds a node, so the body never becomes inapplicable
+    script = workdir / "runaway.grt"
+    script.write_text(
+        "transformation runaway;\nIteratively { MatchReplace (x : Node | "
+        "arch = count(V{Node})) <== set(tup(1)); }\n", encoding="utf-8")
+    out, trace = workdir / "out.glg", workdir / "trace.txt"
+    code = main(["transform", str(script), str(workdir / "graph1.gls"),
+                 "--source", str(workdir / "sample1.glg"), "--in-place",
+                 "--out", str(out), "--trace", str(trace)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Iteratively exceeded 1000 rounds" in err
+    assert not out.exists() and not trace.exists()
+    assert not list(workdir.glob(".gretlite-*"))
+
+
 def test_long_operator_chain_evaluates(workdir, capsys):
     assert _query(workdir, " + ".join(["1"] * 5000)) == 0
     assert capsys.readouterr().out == "5000\n"

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gretlite import corpus
 from gretlite.errors import TransformError
 from gretlite.formats import load_graph, save_graph
-from gretlite.model import Graph
+from gretlite.model import Graph, Schema
 from gretlite.transform import TraceabilityMap, engine, execute, parse_script
-from gretlite.values import OrderedSet
+from gretlite.values import UNDEFINED, OrderedSet
 
 import genutil
 import oracles
@@ -484,3 +486,73 @@ def test_reverse_involution_on_random_fixtures(graph1_schema):
         execute(reverse, g, in_place=True)
         execute(reverse, g, in_place=True)
         assert oracles.canonical_form(g) == shape_before
+
+
+_ARCHETYPES = (0, 1, 1.0, True, "1", (1,), [1], UNDEFINED)
+
+
+@st.composite
+def _trace_runs(draw):
+    """A schema whose vertex classes V0.. and edge classes E0.. each extend
+    a random set of earlier classes of their kind, and registrations of
+    (class, archetype) pairs."""
+    schema = Schema("mi")
+    classes = []
+    for kind in "VE":
+        for i in range(draw(st.integers(2, 5))):
+            supers = [c for c in classes if c[0] == kind and draw(st.booleans())]
+            name = f"{kind}{i}"
+            if kind == "V":
+                schema.define_vertex_class(name, supertypes=supers)
+            else:
+                schema.define_edge_class(name, "V0", "V0", supertypes=supers)
+            classes.append(name)
+    # one key (1 and 1.0 share it) half the time, so that clashes abound
+    archetypes = st.one_of(st.sampled_from((1, 1.0)),
+                           st.sampled_from(_ARCHETYPES))
+    registrations = draw(st.lists(
+        st.tuples(st.sampled_from(classes), archetypes), max_size=25))
+    return schema, classes, registrations
+
+
+def _items(view):
+    return [(id(k), id(v)) for k, v in view.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trace_runs())
+def test_trace_map_matches_scanning_oracle(run):
+    """Images, clash errors and the class they name, and the contents,
+    order and caching of the union views match a map that scans."""
+    schema, classes, registrations = run
+    g = Graph(schema)
+    anchor = g.create_vertex("V0")
+    trace = TraceabilityMap(schema)
+    naive = oracles.NaiveTraceabilityMap(schema)
+    for cls, archetype in registrations:
+        element = (g.create_vertex(cls) if cls[0] == "V"
+                   else g.create_edge(cls, anchor, anchor))
+        views = {False: trace.img_value, True: trace.arch_value}
+        held = {(c, inv): views[inv](c)
+                for c in classes for inv in (False, True)}
+        snapshot = {key: _items(view) for key, view in held.items()}
+        try:
+            naive.register(cls, archetype, element)
+        except TransformError as exc:
+            with pytest.raises(TransformError) as info:
+                trace.register(cls, archetype, element)
+            assert str(info.value) == str(exc)
+            assert all(views[inv](c) is view
+                       for (c, inv), view in held.items())
+        else:
+            trace.register(cls, archetype, element)
+        assert all(_items(view) == snapshot[key]
+                   for key, view in held.items())
+        assert trace.classes() == naive.classes()
+        for c in classes:
+            assert trace.entries(c) == list(naive._maps.get(c, {}).values())
+            for a in _ARCHETYPES:
+                assert trace.image(c, a) is naive.image(c, a)
+            for inverse, view in views.items():
+                assert _items(view(c)) == [
+                    (id(k), id(v)) for k, v in naive.view_items(c, inverse)]

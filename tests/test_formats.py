@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,9 @@ from gretlite.transform import execute, parse_script
 
 import genutil
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 class TestLoadSchema:
@@ -222,3 +228,18 @@ class TestExportDot:
         g = Graph(graph1_schema)
         g.create_vertex("Node").set_attr("name", 'say "hi"')
         assert '\\"' in export_dot(g)
+
+
+def test_loading_adds_few_gc_tracked_objects_per_element(graph1_schema):
+    """A loaded edge is one object the garbage collector tracks, and a
+    vertex that has edges two (itself and its incidence dict): nothing per
+    incidence, and attribute dicts of strings and numbers go untracked."""
+    text = gen.write_sample(gen.sample(5, 500, 20, 0.05))
+    gc.collect()
+    before = len(gc.get_objects())
+    g = load_graph(text, graph1_schema)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    elements = len(g.vertices) + len(g.edges)
+    assert elements > 4000
+    assert added <= 1.5 * elements

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from gretlite.errors import GraphError, QueryError, SchemaError
 from gretlite.model import AttrType, Graph, Schema
-from gretlite.query import run_query
+from gretlite.query import evaluate, parse_query, run_query
 
 import genutil
 import oracles
@@ -432,3 +432,67 @@ def test_delete_edge_keeps_incidence_order(script):
             assert [x for x in v.incidences() if x[0] == "in"] == [
                 x for x in expected[id(v)] if x[0] == "in"]
 
+
+
+def _incidence_schema():
+    s = Schema("inc")
+    s.define_vertex_class("A")
+    s.define_vertex_class("B", supertypes=["A"])
+    s.define_edge_class("L", "A", "A")
+    s.define_edge_class("M", "A", "A", supertypes=["L"])
+    s.define_edge_class("G", "A", "A", is_aggregation=True)
+    return s
+
+
+# class specs of `degree` and path steps, and the edge classes each allows
+_SPECS = {"": None, "{L}": {"L", "M"}, "{L!}": {"L"}, "{M, G}": {"M", "G"}}
+# (query step, oracle direction, oracle class names), aggregations apart
+_STEPS = [(arrow + spec, direction, names)
+          for arrow, direction in (("-->", "out"), ("<--", "in"),
+                                   ("<->", "both"))
+          for spec, names in _SPECS.items()]
+_STEPS += [("<>--", "agg", {"G"}), ("<>--{G}", "agg", {"G"})]
+_DEGREES = [(parse_query(f"degree{spec}(v)", extra_names=("v",)), names)
+            for spec, names in _SPECS.items()]
+# every step alone, and followed by every third step (a different third
+# for neighbouring steps)
+_PATHS = [(parse_query(f"v {a}", extra_names=("v",)), [sa])
+          for a, *sa in _STEPS]
+_PATHS += [(parse_query(f"v {a} {b}", extra_names=("v",)), [sa, sb])
+           for i, (a, *sa) in enumerate(_STEPS)
+           for b, *sb in _STEPS[i % 3::3]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("vvveeeeedx"), st.integers(0, 99),
+                          st.integers(0, 99), st.sampled_from("LMG")),
+                min_size=8, max_size=40))
+def test_incidence_store_matches_list_oracle(script):
+    """Random creates and deletes, loops and parallel edges among them,
+    give the incidences, cascades, degrees and paths of a list model."""
+    g = Graph(_incidence_schema())
+    naive = oracles.NaiveIncidences()
+    vs, es = [], []
+    for op, i, j, cls in script:
+        if op == "v":
+            vs.append(g.create_vertex("AB"[i % 2]))
+            naive.create_vertex(vs[-1])
+        elif op == "e" and vs:
+            es.append(g.create_edge(cls, vs[i % len(vs)], vs[j % len(vs)]))
+            naive.create_edge(es[-1])
+        elif op == "d" and es:
+            e = es.pop(i % len(es))
+            assert g.delete_edge(e) == [e]
+            naive.delete_edge(e)
+        elif op == "x" and vs:
+            v = vs.pop(i % len(vs))
+            deleted = g.delete_vertex(v)
+            assert deleted == naive.delete_vertex(v)
+            es = [e for e in es if e.alive]
+        for v in vs:
+            assert list(v.incidences()) == naive.lists[v]
+    for v in vs:
+        for query, names in _DEGREES:
+            assert evaluate(query, g, {"v": v}) == naive.degree(v, names)
+        for query, steps in _PATHS:
+            assert list(evaluate(query, g, {"v": v})) == naive.path(v, steps)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gretlite.model import Graph
@@ -14,6 +14,7 @@ from gretlite.values import (
 )
 
 import genutil
+import oracles
 
 
 def test_set_deduplicates_structurally():
@@ -131,3 +132,87 @@ def test_membership_matches_construction(items):
     for v in items:
         assert v in s
     assert len(s) <= len(items)
+
+
+# a few elements of one graph, so that atoms of every kind recur
+_GRAPH = Graph(genutil.graph1_schema())
+_EV, _NODE = _GRAPH.create_vertex("Edge_"), _GRAPH.create_vertex("Node")
+_ELEMENTS = (_EV, _NODE, _GRAPH.create_edge("Edge_LinksToSrc", _EV, _NODE))
+
+_atoms = st.one_of(
+    st.sampled_from((0, 1, 2, -1)),
+    st.sampled_from((0.0, -0.0, 1.0, 2.0, 0.5)),
+    st.booleans(),
+    st.sampled_from(("", "a", "1", "true")),
+    st.just(UNDEFINED),
+    st.sampled_from(_ELEMENTS),
+)
+oracle_values = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(OrderedSet),
+        st.lists(st.tuples(inner, inner), max_size=3).map(ValueMap),
+    ),
+    max_leaves=6,
+)
+
+
+def _twin(v):
+    """`v` with each number and bool swapped for an equal atom of another
+    kind or sign: true -> 1 -> 1.0 -> 1, 0.0 <-> -0.0."""
+    if isinstance(v, bool):
+        return int(v)
+    if isinstance(v, int):
+        return float(v)
+    if isinstance(v, float):
+        return -v if v == 0 else int(v) if v.is_integer() else v
+    if isinstance(v, (tuple, list)):
+        return type(v)(map(_twin, v))
+    if isinstance(v, OrderedSet):
+        return OrderedSet(map(_twin, v))
+    if isinstance(v, ValueMap):
+        return ValueMap((_twin(k), _twin(x)) for k, x in v.items())
+    return v
+
+
+_PROBES = [0, 1, 0.0, -0.0, 1.0, True, False, "", "1", UNDEFINED, *_ELEMENTS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(oracle_values, min_size=1, max_size=5))
+def test_value_key_equalities_match_the_tagged_oracle(values):
+    """Keys are equal exactly when the all-tagged keys are, and equal keys
+    hash alike: among random values, their twins and fixed atoms."""
+    values = values + [_twin(v) for v in values] + _PROBES
+    for a in values:
+        for b in values:
+            same = value_key(a) == value_key(b)
+            assert same == (oracles.naive_value_key(a)
+                            == oracles.naive_value_key(b)), (a, b)
+            assert not same or hash(value_key(a)) == hash(value_key(b))
+            assert value_equal(a, b) == same
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(oracle_values, max_size=8),
+       st.lists(st.tuples(oracle_values, oracle_values), max_size=8))
+def test_set_and_map_behave_as_with_tagged_keys(members, entries):
+    """Membership, and the order and identity of what iterates, are those
+    of a dict keyed by the oracle's keys."""
+    members = members + [_twin(v) for v in members]
+    entries = entries + [(_twin(k), v) for k, v in entries]
+    key = oracles.naive_value_key
+    naive_set, naive_map = {}, {}
+    for v in members:
+        naive_set.setdefault(key(v), v)
+    for k, v in entries:
+        naive_map[key(k)] = (k, v)
+    s, m = OrderedSet(members), ValueMap(entries)
+    assert [id(v) for v in s] == [id(v) for v in naive_set.values()]
+    assert [(id(k), id(v)) for k, v in m.items()] == [
+        (id(k), id(v)) for k, v in naive_map.values()]
+    for v in members + [k for k, _ in entries]:
+        assert (v in s) == (key(v) in naive_set)
+        assert (v in m) == (key(v) in naive_map)
