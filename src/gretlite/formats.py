@@ -1,8 +1,9 @@
 """Text formats for schemas (.gls) and graphs (.glg), plus DOT export.
 
 Saved graphs are canonical: vertices then edges, creation order, all
-attributes in declaration order, positional labels v1../e1...  Loading a
-saved document and saving it again reproduces it byte for byte.
+attributes in declaration order (the order of each element's store),
+positional labels v1../e1...  Loading a saved document and saving it
+again reproduces it byte for byte.
 
 A `.glg` file is a header `graph NAME conforms SCHEMA;` followed by one
 statement per element, in creation order:
@@ -301,43 +302,42 @@ def _invalid(text: str, pos: int, message: str):
 
 def save_graph(graph: model.Graph) -> str:
     lines = [f"graph {graph.name} conforms {graph.schema.name};"]
-    vertex_labels = {v.id: f"v{i}" for i, v in enumerate(graph.vertices, 1)}
-    for i, v in enumerate(graph.vertices, 1):
-        lines.append(f"v{i} : {v.class_name}{_attr_store_text(v)};")
-    for i, e in enumerate(graph.edges, 1):
-        endpoints = f" {vertex_labels[e.start.id]} -> {vertex_labels[e.end.id]}"
-        lines.append(f"e{i} : {e.class_name}{endpoints}{_attr_store_text(e)};")
+    labels = _vertex_labels(graph)
+    lines += [f"{label} : {v.class_name}{_store_text(v)};"
+              for v, label in labels.items()]
+    lines += [f"e{i} : {e.class_name} {labels[e.start]} -> {labels[e.end]}"
+              f"{_store_text(e)};" for i, e in enumerate(graph.edges, 1)]
     return "\n".join(lines) + "\n"
 
 
-def _attr_store_text(element: model.Element) -> str:
-    names = element.attr_names()
-    if not names:
+def _vertex_labels(graph: model.Graph) -> dict[model.Vertex, str]:
+    """Each vertex's positional label, v1, v2, ... in creation order."""
+    return {v: f"v{i}" for i, v in enumerate(graph.vertices, 1)}
+
+
+def _assignments(element: model.Element) -> list[str]:
+    # an element's store holds every attribute of its class, already in
+    # declaration order, inherited ones first
+    return [f"{name} = {render_value(value)}"
+            for name, value in element._attrs.items()]
+
+
+def _store_text(element: model.Element) -> str:
+    if not element._attrs:
         return ""
-    body = ", ".join(
-        f"{name} = {render_value(element.attr(name))}" for name in names
-    )
-    return " { " + body + " }"
+    return " { " + ", ".join(_assignments(element)) + " }"
 
 
 def export_dot(graph: model.Graph) -> str:
     """DOT rendering for inspection: one node per vertex, labeled with
-    class, id, and attribute values; one arrow per edge."""
+    class, positional label, and attribute values; one arrow per edge."""
     lines = ["digraph G {"]
-    vertex_labels = {v.id: f"v{i}" for i, v in enumerate(graph.vertices, 1)}
-    for i, v in enumerate(graph.vertices, 1):
-        parts = [v.class_name, f"v{i}"]
-        parts += [
-            f"{name} = {render_value(v.attr(name))}"
-            for name in v.attr_names()
-        ]
-        label = _dot_escape("\\n".join(parts))
-        lines.append(f'  v{i} [label="{label}"];')
-    for e in graph.edges:
-        lines.append(
-            f"  {vertex_labels[e.start.id]} -> {vertex_labels[e.end.id]} "
-            f'[label="{_dot_escape(e.class_name)}"];'
-        )
+    labels = _vertex_labels(graph)
+    for v, label in labels.items():
+        text = _dot_escape("\\n".join([v.class_name, label, *_assignments(v)]))
+        lines.append(f'  {label} [label="{text}"];')
+    lines += [f'  {labels[e.start]} -> {labels[e.end]} '
+              f'[label="{_dot_escape(e.class_name)}"];' for e in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

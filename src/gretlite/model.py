@@ -5,6 +5,14 @@ inheritance and typed attributes.  A graph holds typed vertices and edges,
 each one object and an attribute dict, and a vertex one flag per incident
 edge.  Every sequence a graph exposes follows creation order, and element
 ids are dense per kind and never reused within one graph.
+
+Creating an element or writing an attribute reads each class fact it
+checks (the class record, a superclass closure, the attribute types) with
+one lookup of what the schema resolved when the class was defined.  The
+checks run in a fixed order, so of two faults the first is reported: see
+`Graph` for creation; a write checks that the element is alive, that its
+class declares the attribute, the value's type, and that a Double is
+finite.
 """
 
 from __future__ import annotations
@@ -79,8 +87,8 @@ class Schema:
         # class -> attr name -> (declaring class, type); insertion order is
         # supertype-first so instances list inherited attributes first.
         self._flat: dict[str, dict[str, tuple[str, AttrType]]] = {}
-        # class -> read-only attr name -> type view of `_flat`
-        self._attr_types: dict[str, MappingProxyType] = {}
+        # class -> attr name -> type, the types of `_flat`
+        self._attr_types: dict[str, dict[str, AttrType]] = {}
         # class -> attr name -> default value, copied into each new element
         self._defaults: dict[str, dict[str, object]] = {}
         self._supers: dict[str, frozenset[str]] = {}
@@ -146,24 +154,17 @@ class Schema:
     def flat_attributes(self, name: str) -> MappingProxyType:
         """All attributes of a class after inheritance flattening, as a
         read-only attr name -> AttrType mapping."""
-        return self._lookup(self._attr_types, name)
+        return MappingProxyType(self._lookup(self._attr_types, name))
 
     def attribute_type(self, class_name: str, attr_name: str) -> AttrType:
         atype = self.flat_attributes(class_name).get(attr_name)
         if atype is None:
             raise SchemaError(
-                f"class '{class_name}' declares no attribute '{attr_name}'"
-            )
+                f"class '{class_name}' declares no attribute '{attr_name}'")
         return atype
 
-    def define_vertex_class(
-        self,
-        name: str,
-        *,
-        is_abstract: bool = False,
-        supertypes: tuple[str, ...] | list[str] = (),
-        attributes=(),
-    ) -> VertexClass:
+    def define_vertex_class(self, name: str, *, is_abstract: bool = False,
+                            supertypes=(), attributes=()) -> VertexClass:
         supertypes = tuple(supertypes)
         attributes = tuple((a, t) for a, t in attributes)
         self._check_header(name, supertypes, kind=VertexClass)
@@ -171,30 +172,19 @@ class Schema:
         self._register(cls)
         return cls
 
-    def define_edge_class(
-        self,
-        name: str,
-        from_class: str,
-        to_class: str,
-        *,
-        is_abstract: bool = False,
-        supertypes: tuple[str, ...] | list[str] = (),
-        is_aggregation: bool = False,
-        attributes=(),
-    ) -> EdgeClass:
+    def define_edge_class(self, name: str, from_class: str, to_class: str, *,
+                          is_abstract: bool = False, supertypes=(),
+                          is_aggregation: bool = False,
+                          attributes=()) -> EdgeClass:
         supertypes = tuple(supertypes)
         attributes = tuple((a, t) for a, t in attributes)
         self._check_header(name, supertypes, kind=EdgeClass)
         for endpoint in (from_class, to_class):
             if not self.is_vertex_class(endpoint):
-                raise SchemaError(
-                    f"edge class '{name}' endpoint '{endpoint}' is not a "
-                    "defined vertex class"
-                )
-        cls = EdgeClass(
-            name, from_class, to_class, is_abstract, supertypes,
-            is_aggregation, attributes,
-        )
+                raise SchemaError(f"edge class '{name}' endpoint '{endpoint}'"
+                                  " is not a defined vertex class")
+        cls = EdgeClass(name, from_class, to_class, is_abstract, supertypes,
+                        is_aggregation, attributes)
         self._register(cls)
         return cls
 
@@ -236,8 +226,7 @@ class Schema:
             merged[attr] = (cls.name, atype)
         self._classes[cls.name] = cls
         self._flat[cls.name] = merged
-        self._attr_types[cls.name] = MappingProxyType(
-            {a: t for a, (_, t) in merged.items()})
+        self._attr_types[cls.name] = {a: t for a, (_, t) in merged.items()}
         self._defaults[cls.name] = {
             a: t.default() for a, (_, t) in merged.items()}
         supers = frozenset({cls.name}).union(
@@ -249,17 +238,10 @@ class Schema:
 
 
 class Element:
-    """Common state of vertices and edges: id, class, attribute store."""
+    """Common state of vertices and edges: id, class, attribute store (in
+    declaration order).  Only `Graph` calls the subclasses' constructors."""
 
     __slots__ = ("graph", "id", "class_name", "alive", "_attrs")
-    _prefix = "x"
-
-    def __init__(self, graph: Graph, eid: int, class_name: str):
-        self.graph = graph
-        self.id = eid
-        self.class_name = class_name
-        self.alive = True
-        self._attrs = graph.schema._defaults[class_name].copy()
 
     def ref(self) -> str:
         return f"{self._prefix}{self.id}"
@@ -276,8 +258,10 @@ class Element:
 
     def set_attr(self, name: str, value) -> bool:
         """Write an attribute; returns True iff the stored value changed."""
-        self._require_alive()
-        atype = self.graph.schema.attribute_type(self.class_name, name)
+        atype = self.graph.schema._attr_types[self.class_name].get(name)
+        if atype is None or not self.alive:
+            self._require_alive()
+            self.graph.schema.attribute_type(self.class_name, name)  # raises
         if not atype.accepts(value):
             raise GraphError(
                 f"attribute '{name}' of '{self.class_name}' expects "
@@ -293,7 +277,7 @@ class Element:
         if old == value and str(old) == str(value):  # -0.0 == 0.0
             return False
         self._attrs[name] = value
-        self.graph._bump()
+        self.graph.revision += 1
         return True
 
     def attr_names(self) -> list[str]:
@@ -317,10 +301,13 @@ class Vertex(Element):
 
     __slots__ = ("_entries",)
     _prefix = "v"
-    kind = "vertex"
 
-    def __init__(self, graph, eid, class_name):
-        super().__init__(graph, eid, class_name)
+    def __init__(self, graph, eid, class_name, attrs):
+        self.graph = graph
+        self.id = eid
+        self.class_name = class_name
+        self.alive = True
+        self._attrs = attrs
         self._entries: dict[Edge, int] = {}
 
     def incidences(self):
@@ -335,10 +322,13 @@ class Vertex(Element):
 class Edge(Element):
     __slots__ = ("start", "end")
     _prefix = "e"
-    kind = "edge"
 
-    def __init__(self, graph, eid, class_name, start: Vertex, end: Vertex):
-        super().__init__(graph, eid, class_name)
+    def __init__(self, graph, eid, class_name, attrs, start, end):
+        self.graph = graph
+        self.id = eid
+        self.class_name = class_name
+        self.alive = True
+        self._attrs = attrs
         self.start = start
         self.end = end
 
@@ -350,6 +340,13 @@ class Graph:
     any number of concurrent readers are safe.  `revision` increases on
     every effective change (element created or deleted, attribute value
     actually changed).
+
+    `create_vertex` checks that the class is known, is a vertex class and
+    is not abstract; `create_edge` the same for an edge class, then that
+    the start and then the end is a live vertex of this graph, and last
+    that the start and then the end conforms to the class's endpoint
+    class.  Each check is one dict lookup; the `Schema` lookup methods run
+    only to raise their error.  A rejected call changes nothing.
     """
 
     def __init__(self, schema: Schema, name: str = "g"):
@@ -361,9 +358,6 @@ class Graph:
         self._next_vid = 1
         self._next_eid = 1
 
-    def _bump(self):
-        self.revision += 1
-
     @property
     def vertices(self) -> list[Vertex]:
         return list(self._vertices.values())
@@ -373,42 +367,51 @@ class Graph:
         return list(self._edges.values())
 
     def create_vertex(self, class_name: str) -> Vertex:
-        cls = self.schema.vertex_class(class_name)
+        schema = self.schema
+        cls = schema._classes.get(class_name)
+        if type(cls) is not VertexClass:
+            schema.vertex_class(class_name)  # raises
         if cls.is_abstract:
             raise GraphError(f"class '{class_name}' is abstract")
-        v = Vertex(self, self._next_vid, class_name)
-        self._next_vid += 1
-        self._vertices[v.id] = v
-        self._bump()
+        vid = self._next_vid
+        self._next_vid = vid + 1
+        v = self._vertices[vid] = Vertex(
+            self, vid, class_name, schema._defaults[class_name].copy())
+        self.revision += 1
         return v
 
     def create_edge(self, class_name: str, start: Vertex, end: Vertex) -> Edge:
-        cls = self.schema.edge_class(class_name)
+        schema = self.schema
+        cls = schema._classes.get(class_name)
+        if type(cls) is not EdgeClass:
+            schema.edge_class(class_name)  # raises
         if cls.is_abstract:
             raise GraphError(f"class '{class_name}' is abstract")
         for endpoint in (start, end):
             if not isinstance(endpoint, Vertex) or endpoint.graph is not self:
                 raise GraphError("edge endpoint is not a vertex of this graph")
             if not endpoint.alive:
-                raise GraphError(
-                    f"edge endpoint {endpoint.ref()} was deleted"
-                )
-        if not self.schema.conforms(start.class_name, cls.from_class):
+                raise GraphError(f"edge endpoint {endpoint.ref()} was deleted")
+        # both endpoints are vertices of this graph, so their classes are known
+        supers = schema._supers
+        if cls.from_class not in supers[start.class_name]:
             raise GraphError(
                 f"start vertex of '{class_name}' must conform to "
                 f"'{cls.from_class}', got '{start.class_name}'"
             )
-        if not self.schema.conforms(end.class_name, cls.to_class):
+        if cls.to_class not in supers[end.class_name]:
             raise GraphError(
                 f"end vertex of '{class_name}' must conform to "
                 f"'{cls.to_class}', got '{end.class_name}'"
             )
-        e = Edge(self, self._next_eid, class_name, start, end)
-        self._next_eid += 1
-        self._edges[e.id] = e
+        eid = self._next_eid
+        self._next_eid = eid + 1
+        e = self._edges[eid] = Edge(
+            self, eid, class_name, schema._defaults[class_name].copy(),
+            start, end)
         start._entries[e] = OUT
         end._entries[e] = end._entries.get(e, 0) | IN
-        self._bump()
+        self.revision += 1
         return e
 
     def delete_edge(self, e: Edge) -> list[Edge]:
@@ -419,7 +422,7 @@ class Graph:
         e.end._entries.pop(e, None)  # a loop's one entry is gone already
         del self._edges[e.id]
         e.alive = False
-        self._bump()
+        self.revision += 1
         return [e]
 
     def delete_vertex(self, v: Vertex) -> list[Element]:
@@ -436,5 +439,5 @@ class Graph:
             self.delete_edge(e)
         del self._vertices[v.id]
         v.alive = False
-        self._bump()
+        self.revision += 1
         return [v, *cascade]

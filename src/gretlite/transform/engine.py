@@ -71,14 +71,15 @@ class TraceabilityMap:
         key = value_key(archetype)
         lookups = self._schema.superclasses(class_name)
         unions = self._unions
-        hits = [unions[c][key] for c in lookups if key in unions.get(c, ())]
-        if hits:
-            first = next(c for c in self.classes()
-                         if any(self._maps[c].get(key) is h for h in hits))
-            raise TransformError(
-                f"archetype {render_value(archetype)} already has an "
-                f"image visible via class '{first}'"
-            )
+        for lookup in lookups:
+            if key in unions.get(lookup, ()):
+                hits = [unions[c][key] for c in lookups
+                        if key in unions.get(c, ())]
+                first = next(c for c in self.classes()
+                             if any(self._maps[c].get(key) is h for h in hits))
+                raise TransformError(
+                    f"archetype {render_value(archetype)} already has an "
+                    f"image visible via class '{first}'")
         entry = (archetype, element)
         self._maps.setdefault(class_name, {})[key] = entry
         for cls in lookups:

@@ -97,7 +97,7 @@ class OrderedSet:
     def __eq__(self, other):
         if not isinstance(other, OrderedSet):
             return NotImplemented
-        return set(self._items) == set(other._items)
+        return value_key(self) == value_key(other)
 
     __hash__ = None
 
@@ -143,12 +143,7 @@ class ValueMap:
     def __eq__(self, other):
         if not isinstance(other, ValueMap):
             return NotImplemented
-        if set(self._items) != set(other._items):
-            return False
-        return all(
-            value_key(self._items[k][1]) == value_key(other._items[k][1])
-            for k in self._items
-        )
+        return value_key(self) == value_key(other)
 
     __hash__ = None
 

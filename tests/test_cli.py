@@ -99,6 +99,57 @@ def test_transform_writes_output(workdir, capsys):
         "digraph G {")
 
 
+SAMPLE1_REVERSED_DOT = """\
+digraph G {
+  v1 [label="Graph_\\nv1"];
+  v2 [label="Node\\nv2\\nname = \\"n1\\""];
+  v3 [label="Node\\nv3\\nname = \\"n2\\""];
+  v4 [label="Node\\nv4\\nname = \\"n3\\""];
+  v5 [label="Node\\nv5\\nname = \\"n4\\""];
+  v6 [label="Node\\nv6\\nname = \\"n5\\""];
+  v7 [label="Node\\nv7\\nname = \\"n6\\""];
+  v8 [label="Edge_\\nv8"];
+  v9 [label="Edge_\\nv9"];
+  v10 [label="Edge_\\nv10"];
+  v11 [label="Edge_\\nv11"];
+  v12 [label="Edge_\\nv12"];
+  v1 -> v2 [label="Graph_ContainsNodes"];
+  v1 -> v3 [label="Graph_ContainsNodes"];
+  v1 -> v4 [label="Graph_ContainsNodes"];
+  v1 -> v5 [label="Graph_ContainsNodes"];
+  v1 -> v6 [label="Graph_ContainsNodes"];
+  v1 -> v7 [label="Graph_ContainsNodes"];
+  v1 -> v8 [label="Graph_ContainsEdges"];
+  v1 -> v9 [label="Graph_ContainsEdges"];
+  v1 -> v10 [label="Graph_ContainsEdges"];
+  v1 -> v11 [label="Graph_ContainsEdges"];
+  v1 -> v12 [label="Graph_ContainsEdges"];
+  v12 -> v6 [label="Edge_LinksToSrc"];
+  v8 -> v3 [label="Edge_LinksToSrc"];
+  v8 -> v2 [label="Edge_LinksToTrg"];
+  v9 -> v4 [label="Edge_LinksToSrc"];
+  v9 -> v3 [label="Edge_LinksToTrg"];
+  v10 -> v2 [label="Edge_LinksToSrc"];
+  v10 -> v4 [label="Edge_LinksToTrg"];
+  v11 -> v5 [label="Edge_LinksToSrc"];
+  v11 -> v5 [label="Edge_LinksToTrg"];
+}
+"""
+
+
+def test_dot_output_is_pinned(workdir, capsys):
+    """The whole `--dot` text of sample1 after task 09 reversed its
+    Edge_ links in place."""
+    code = main(["transform", str(workdir / "09-reverse-edges.grt"),
+                 str(workdir / "graph1.gls"),
+                 "--source", str(workdir / "sample1.glg"), "--in-place",
+                 "--out", str(workdir / "out.glg"),
+                 "--dot", str(workdir / "out.dot")])
+    assert code == 0
+    assert (workdir / "out.dot").read_text(encoding="utf-8") == \
+        SAMPLE1_REVERSED_DOT
+
+
 def test_in_place_requires_source(workdir, capsys):
     code = main(["transform", str(workdir / "09-reverse-edges.grt"),
                  str(workdir / "graph1.gls"), "--in-place",

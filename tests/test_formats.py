@@ -229,6 +229,33 @@ class TestExportDot:
         g.create_vertex("Node").set_attr("name", 'say "hi"')
         assert '\\"' in export_dot(g)
 
+    def test_labels_are_positions_not_ids(self, graph1_schema):
+        # sample1 without its Graph_ vertex and node n3 (and their edges)
+        g = load_graph(corpus.read_text("sample1.glg"), graph1_schema)
+        g.delete_vertex(g.vertices[0])
+        g.delete_vertex(g.vertices[2])
+        assert export_dot(g) == """\
+digraph G {
+  v1 [label="Node\\nv1\\nname = \\"n1\\""];
+  v2 [label="Node\\nv2\\nname = \\"n2\\""];
+  v3 [label="Node\\nv3\\nname = \\"n4\\""];
+  v4 [label="Node\\nv4\\nname = \\"n5\\""];
+  v5 [label="Node\\nv5\\nname = \\"n6\\""];
+  v6 [label="Edge_\\nv6"];
+  v7 [label="Edge_\\nv7"];
+  v8 [label="Edge_\\nv8"];
+  v9 [label="Edge_\\nv9"];
+  v10 [label="Edge_\\nv10"];
+  v6 -> v1 [label="Edge_LinksToSrc"];
+  v6 -> v2 [label="Edge_LinksToTrg"];
+  v7 -> v2 [label="Edge_LinksToSrc"];
+  v8 -> v1 [label="Edge_LinksToTrg"];
+  v9 -> v3 [label="Edge_LinksToSrc"];
+  v9 -> v3 [label="Edge_LinksToTrg"];
+  v10 -> v4 [label="Edge_LinksToSrc"];
+}
+"""
+
 
 def test_loading_adds_few_gc_tracked_objects_per_element(graph1_schema):
     """A loaded edge is one object the garbage collector tracks, and a

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gretlite.errors import GraphError, QueryError, SchemaError
+from gretlite.errors import GraphError, GretliteError, QueryError, SchemaError
 from gretlite.model import AttrType, Graph, Schema
 from gretlite.query import evaluate, parse_query, run_query
 
@@ -233,6 +233,142 @@ class TestAttributes:
         assert str(v.attr("d")) == "-0.0"
         assert v.set_attr("d", 0.0) is True
         assert v.set_attr("d", 0) is False
+
+
+def error_table_fixture():
+    """A graph over `make_schema` plus a Double/Integer vertex class and an
+    abstract edge class, with live, deleted and foreign elements."""
+    s = make_schema()
+    s.define_vertex_class("Measure", attributes=[
+        ("weight", AttrType.DOUBLE), ("count", AttrType.INTEGER)])
+    s.define_edge_class("Link", "Node", "Node", is_abstract=True)
+    g = Graph(s)
+    x = {"ev": g.create_vertex("Edge_"), "n": g.create_vertex("Node"),
+         "m": g.create_vertex("Measure"), "dead": g.create_vertex("Node"),
+         "dead_ev": g.create_vertex("Edge_")}
+    x["e"] = g.create_edge("Edge_LinksToSrc", x["ev"], x["n"])
+    x["dead_e"] = g.create_edge("Edge_LinksToTrg", x["ev"], x["n"])
+    g.delete_vertex(x["dead"])
+    g.delete_vertex(x["dead_ev"])
+    g.delete_edge(x["dead_e"])
+    x["foreign"] = Graph(s).create_vertex("Node")
+    return g, x
+
+
+def _edge(cls, start, end):
+    return lambda g, x: g.create_edge(
+        cls, *(x.get(p, p) if isinstance(p, str) else p for p in (start, end)))
+
+
+def _write(element, name, value):
+    return lambda g, x: x[element].set_attr(name, value)
+
+
+NOT_A_VERTEX = "edge endpoint is not a vertex of this graph"
+
+# id -> (operation, exception type, full message); `x` names the fixture's
+# elements: v1 Edge_, v2 Node, v3 Measure, v4 deleted Node, v5 deleted
+# Edge_, e1 a live edge, e2 a deleted one, and a vertex of another graph
+ERROR_TABLE = {
+    "vertex-unknown-class": (lambda g, x: g.create_vertex("Nope"),
+                             SchemaError, "unknown class 'Nope'"),
+    "vertex-of-an-edge-class": (
+        lambda g, x: g.create_vertex("Edge_LinksToSrc"),
+        SchemaError, "'Edge_LinksToSrc' is not a vertex class"),
+    "vertex-abstract": (lambda g, x: g.create_vertex("GraphComponent"),
+                        GraphError, "class 'GraphComponent' is abstract"),
+    "edge-unknown-class": (_edge("Nope", "ev", "n"),
+                           SchemaError, "unknown class 'Nope'"),
+    "edge-of-a-vertex-class": (_edge("Node", "ev", "n"),
+                               SchemaError, "'Node' is not an edge class"),
+    "edge-abstract": (_edge("Link", "n", "n"),
+                      GraphError, "class 'Link' is abstract"),
+    "edge-start-is-an-edge": (_edge("Edge_LinksToSrc", "e", "n"),
+                              GraphError, NOT_A_VERTEX),
+    "edge-end-is-no-element": (_edge("Edge_LinksToSrc", "ev", None),
+                               GraphError, NOT_A_VERTEX),
+    "edge-start-from-another-graph": (_edge("Edge_LinksToSrc", "foreign", "n"),
+                                      GraphError, NOT_A_VERTEX),
+    "edge-end-from-another-graph": (_edge("Edge_LinksToSrc", "ev", "foreign"),
+                                    GraphError, NOT_A_VERTEX),
+    "edge-start-deleted": (_edge("Edge_LinksToSrc", "dead_ev", "n"),
+                           GraphError, "edge endpoint v5 was deleted"),
+    "edge-end-deleted": (_edge("Edge_LinksToSrc", "ev", "dead"),
+                         GraphError, "edge endpoint v4 was deleted"),
+    "edge-start-does-not-conform": (
+        _edge("Edge_LinksToSrc", "n", "n"), GraphError,
+        "start vertex of 'Edge_LinksToSrc' must conform to 'Edge_', "
+        "got 'Node'"),
+    "edge-end-does-not-conform": (
+        _edge("Edge_LinksToTrg", "ev", "m"), GraphError,
+        "end vertex of 'Edge_LinksToTrg' must conform to 'Node', "
+        "got 'Measure'"),
+    "set-undeclared": (_write("n", "nosuch", 1), SchemaError,
+                       "class 'Node' declares no attribute 'nosuch'"),
+    "set-undeclared-on-edge": (
+        _write("e", "name", "x"), SchemaError,
+        "class 'Edge_LinksToSrc' declares no attribute 'name'"),
+    "set-wrong-type": (_write("n", "name", 3), GraphError,
+                       "attribute 'name' of 'Node' expects String, got 3"),
+    "set-inherited-wrong-type": (
+        _write("n", "text", None), GraphError,
+        "attribute 'text' of 'Node' expects String, got None"),
+    "set-bool-for-integer": (
+        _write("m", "count", True), GraphError,
+        "attribute 'count' of 'Measure' expects Integer, got True"),
+    "set-string-for-double": (
+        _write("m", "weight", "1"), GraphError,
+        "attribute 'weight' of 'Measure' expects Double, got '1'"),
+    "set-infinity": (_write("m", "weight", float("-inf")), GraphError,
+                     "attribute 'weight' rejects non-finite value"),
+    "set-nan": (_write("m", "weight", float("nan")), GraphError,
+                "attribute 'weight' rejects non-finite value"),
+    "set-integer-too-large-for-double": (
+        _write("m", "weight", 10 ** 400), GraphError,
+        "attribute 'weight' rejects non-finite value"),
+    "set-deleted-vertex": (_write("dead", "name", "x"), GraphError,
+                           "element v4 was deleted"),
+    "set-deleted-edge": (_write("dead_e", "nosuch", 1), GraphError,
+                         "element e2 was deleted"),
+    # two faults at once: the one checked first wins
+    "abstract-class-and-deleted-endpoint": (
+        _edge("Link", "n", "dead"), GraphError, "class 'Link' is abstract"),
+    "unknown-class-and-foreign-endpoint": (
+        _edge("Nope", "foreign", "e"), SchemaError, "unknown class 'Nope'"),
+    "deleted-start-and-foreign-end": (
+        _edge("Edge_LinksToSrc", "dead_ev", "foreign"), GraphError,
+        "edge endpoint v5 was deleted"),
+    "foreign-start-and-deleted-end": (
+        _edge("Edge_LinksToSrc", "foreign", "dead"), GraphError, NOT_A_VERTEX),
+    "deleted-endpoint-that-does-not-conform": (
+        _edge("Edge_LinksToSrc", "dead", "n"), GraphError,
+        "edge endpoint v4 was deleted"),
+    "start-and-end-do-not-conform": (
+        _edge("Edge_LinksToSrc", "n", "ev"), GraphError,
+        "start vertex of 'Edge_LinksToSrc' must conform to 'Edge_', "
+        "got 'Node'"),
+    "deleted-element-and-undeclared-attribute": (
+        _write("dead", "nosuch", 1), GraphError, "element v4 was deleted"),
+    "deleted-element-and-wrong-type": (
+        _write("dead", "name", 3), GraphError, "element v4 was deleted"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_TABLE, ids=str)
+def test_element_check_errors_are_exact(case):
+    op, exc_type, message = ERROR_TABLE[case]
+    g, x = error_table_fixture()
+    state = (g.revision, g.vertices, g.edges,
+             [dict(el._attrs) for el in g.vertices + g.edges])
+    with pytest.raises(GretliteError) as info:
+        op(g, x)
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
+    # a rejected operation changes nothing and uses up no id
+    assert state == (g.revision, g.vertices, g.edges,
+                     [dict(el._attrs) for el in g.vertices + g.edges])
+    assert g.create_vertex("Node").id == 6
+    assert g.create_edge("Edge_LinksToSrc", x["ev"], x["n"]).id == 3
 
 
 class TestTypeTests:
