@@ -49,7 +49,7 @@ _ATTR_TYPES = {t.value: t for t in model.AttrType}
 # first, so a failed statement still shows how far it got.  They are
 # compiled on first use (`re` keeps them), so a process that reads no
 # graph does not compile them.
-_S = r"(?:\s|//.*(?!.))*"
+_S = r"\s*(?://.*(?!.)\s*)*"
 # groups: name, string, '-', number, boolean
 _ENTRY = (
     rf"({IDENT}){_S}={_S}"
@@ -211,10 +211,11 @@ def load_graph(text: str, schema: model.Schema) -> model.Graph:
             _expected(text, m.end(1), "':'")
         if class_name is None:
             _expected(text, m.end(2), "identifier")
-        if not schema.has_class(class_name):
+        cls = schema._classes.get(class_name)
+        if cls is None:
             _invalid(text, m.start(3), f"unknown class '{class_name}'")
         try:
-            if schema.is_vertex_class(class_name):
+            if type(cls) is model.VertexClass:
                 element = graph.create_vertex(class_name)
                 if start is not None:
                     _expected(text, m.start(4), "';'")
@@ -301,13 +302,13 @@ def _invalid(text: str, pos: int, message: str):
 
 
 def save_graph(graph: model.Graph) -> str:
-    lines = [f"graph {graph.name} conforms {graph.schema.name};"]
+    lines = [f"graph {graph.name} conforms {graph.schema.name};\n"]
     labels = _vertex_labels(graph)
-    lines += [f"{label} : {v.class_name}{_store_text(v)};"
+    lines += [f"{label} : {v.class_name}{_store_text(v)};\n"
               for v, label in labels.items()]
     lines += [f"e{i} : {e.class_name} {labels[e.start]} -> {labels[e.end]}"
-              f"{_store_text(e)};" for i, e in enumerate(graph.edges, 1)]
-    return "\n".join(lines) + "\n"
+              f"{_store_text(e)};\n" for i, e in enumerate(graph.edges, 1)]
+    return "".join(lines)
 
 
 def _vertex_labels(graph: model.Graph) -> dict[model.Vertex, str]:

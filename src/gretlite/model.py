@@ -4,7 +4,10 @@ A schema declares vertex classes and edge classes with single or multiple
 inheritance and typed attributes.  A graph holds typed vertices and edges,
 each one object and an attribute dict, and a vertex one flag per incident
 edge.  Every sequence a graph exposes follows creation order, and element
-ids are dense per kind and never reused within one graph.
+ids are dense per kind and never reused within one graph.  An element's
+`class_name` is its class record's own string, and the elements of a
+class that declares no attribute share its empty defaults dict as their
+store, which nothing writes: a write checks the name first.
 
 Creating an element or writing an attribute reads each class fact it
 checks (the class record, a superclass closure, the attribute types) with
@@ -89,7 +92,7 @@ class Schema:
         self._flat: dict[str, dict[str, tuple[str, AttrType]]] = {}
         # class -> attr name -> type, the types of `_flat`
         self._attr_types: dict[str, dict[str, AttrType]] = {}
-        # class -> attr name -> default value, copied into each new element
+        # class -> attr -> default, copied per new element unless empty
         self._defaults: dict[str, dict[str, object]] = {}
         self._supers: dict[str, frozenset[str]] = {}
         self._subs: dict[str, tuple[str, ...]] = {}
@@ -302,12 +305,12 @@ class Vertex(Element):
     __slots__ = ("_entries",)
     _prefix = "v"
 
-    def __init__(self, graph, eid, class_name, attrs):
+    def __init__(self, graph, eid, class_name, defaults):
         self.graph = graph
         self.id = eid
         self.class_name = class_name
         self.alive = True
-        self._attrs = attrs
+        self._attrs = defaults.copy() if defaults else defaults
         self._entries: dict[Edge, int] = {}
 
     def incidences(self):
@@ -323,12 +326,12 @@ class Edge(Element):
     __slots__ = ("start", "end")
     _prefix = "e"
 
-    def __init__(self, graph, eid, class_name, attrs, start, end):
+    def __init__(self, graph, eid, class_name, defaults, start, end):
         self.graph = graph
         self.id = eid
         self.class_name = class_name
         self.alive = True
-        self._attrs = attrs
+        self._attrs = defaults.copy() if defaults else defaults
         self.start = start
         self.end = end
 
@@ -376,7 +379,7 @@ class Graph:
         vid = self._next_vid
         self._next_vid = vid + 1
         v = self._vertices[vid] = Vertex(
-            self, vid, class_name, schema._defaults[class_name].copy())
+            self, vid, cls.name, schema._defaults[class_name])
         self.revision += 1
         return v
 
@@ -407,8 +410,7 @@ class Graph:
         eid = self._next_eid
         self._next_eid = eid + 1
         e = self._edges[eid] = Edge(
-            self, eid, class_name, schema._defaults[class_name].copy(),
-            start, end)
+            self, eid, cls.name, schema._defaults[class_name], start, end)
         start._entries[e] = OUT
         end._entries[e] = end._entries.get(e, 0) | IN
         self.revision += 1

@@ -22,10 +22,7 @@ def render_result(value) -> str:
 def trace_report(trace) -> str:
     """One `Class: archetype -> element` line per entry of `trace`, a
     `TraceabilityMap`."""
-    lines = []
-    for class_name in trace.classes():
-        for archetype, element in trace.entries(class_name):
-            lines.append(
-                f"{class_name}: {render_value(archetype)} -> {element.ref()}"
-            )
-    return "".join(line + "\n" for line in lines)
+    return "".join([
+        f"{class_name}: {render_value(archetype)} -> {element.ref()}\n"
+        for class_name in trace.classes()
+        for archetype, element in trace.entries(class_name)])

@@ -25,6 +25,7 @@ instantiates the template for that match.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import NamedTuple
 
 from gretlite import model
@@ -48,9 +49,10 @@ class TraceabilityMap:
     of its supertypes.  Registration rejects an archetype that is already
     visible through any lookup class shared with the new entry.
 
-    Each lookup class also keeps its union, which an entry for C joins in
-    every superclass of C: `image` is one dict lookup, and `register` finds
-    a clash in the unions of C's superclasses.
+    The one store is each lookup class's union, which an entry for C joins
+    in every superclass of C: `image` is one dict lookup, and `register`
+    finds a clash in the unions of C's superclasses.  C's own entries are
+    those of its union whose element is of class C, the class registered.
 
     The union views handed to queries are built once per lookup class and
     kept until the next registration, which drops them all.  A dropped
@@ -61,9 +63,8 @@ class TraceabilityMap:
     def __init__(self, schema: model.Schema):
         self._schema = schema
         # class -> value_key(archetype) -> (archetype, element), registered
-        # for the class itself, and (`_unions`) for it and its subclasses
-        self._maps: dict[str, dict] = {}
-        self._unions: dict[str, dict] = {}
+        # for the class or one of its subclasses, in registration order
+        self._unions: defaultdict[str, dict] = defaultdict(dict)
         # (class, inverse) -> img (False) or arch (True) union view
         self._views: dict[tuple[str, bool], ValueMap] = {}
 
@@ -73,18 +74,16 @@ class TraceabilityMap:
         unions = self._unions
         for lookup in lookups:
             if key in unions.get(lookup, ()):
-                hits = [unions[c][key] for c in lookups
-                        if key in unions.get(c, ())]
-                first = next(c for c in self.classes()
-                             if any(self._maps[c].get(key) is h for h in hits))
+                owners = {unions[c][key][1].class_name for c in lookups
+                          if key in unions.get(c, ())}
+                first = next(c for c in self.classes() if c in owners)
                 raise TransformError(
                     f"archetype {render_value(archetype)} already has an "
                     f"image visible via class '{first}'")
         entry = (archetype, element)
-        self._maps.setdefault(class_name, {})[key] = entry
         for cls in lookups:
-            unions.setdefault(cls, {})[key] = entry
-        self._views = {}
+            unions[cls][key] = entry
+        self._views.clear()  # views handed out stay as they are
 
     def image(self, class_name: str, archetype) -> model.Element | None:
         union = self._unions.get(class_name)
@@ -112,12 +111,13 @@ class TraceabilityMap:
         return view
 
     def classes(self) -> list[str]:
-        ordered = [c.name for c in self._schema.vertex_classes]
-        ordered += [c.name for c in self._schema.edge_classes]
-        return [c for c in ordered if self._maps.get(c)]
+        declared = self._schema.vertex_classes + self._schema.edge_classes
+        return [c.name for c in declared if any(el.class_name == c.name
+                for _, el in self._unions.get(c.name, {}).values())]
 
     def entries(self, class_name: str) -> list[tuple[object, model.Element]]:
-        return list(self._maps.get(class_name, {}).values())
+        return [entry for entry in self._unions.get(class_name, {}).values()
+                if entry[1].class_name == class_name]
 
 
 class MatchReplaceStats(NamedTuple):

@@ -149,6 +149,13 @@ class TestLoadGraph:
         assert str(err.value) == ("class 'Edge_LinksToSrc' declares no "
                                   "attribute 'w' (line 4, column 30)")
 
+    def test_comment_runs_to_the_end_of_its_line(self, graph1_schema):
+        # the reader may not give back part of a comment while it matches
+        with pytest.raises(ParseError) as err:
+            load_graph('graph g conforms graph1;\n'
+                       'v1 : Node { name // x = "y"\n };', graph1_schema)
+        assert str(err.value) == "expected '=', found '}' (line 3, column 2)"
+
     def test_schema_name_mismatch(self, graph1_schema):
         with pytest.raises(ParseError, match="conforms"):
             load_graph("graph g conforms other;", graph1_schema)
