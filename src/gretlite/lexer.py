@@ -55,7 +55,9 @@ class Token(NamedTuple):
 
 def string_value(literal: str) -> str:
     """The value of a well-formed string literal, quotes included."""
-    return _ESCAPE.sub(lambda e: _STRING_ESCAPES[e[1]], literal[1:-1])
+    body = literal[1:-1]
+    return body if "\\" not in body else _ESCAPE.sub(
+        lambda e: _STRING_ESCAPES[e[1]], body)
 
 
 def scan(text: str, pos: int = 0) -> Iterator[Token]:

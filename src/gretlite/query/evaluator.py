@@ -1,37 +1,38 @@
 """Evaluator for the query language.
 
-`evaluate` compiles its expression into nested closures, one per node,
-each a function from a `Bindings` to the node's value, and then runs
-them.  Compiling resolves what the tree alone fixes: the builtin a call
-names, how an operator chain combines its operands (from the leftmost one
-up, without recursion), and the plan of each comprehension
-(`gretlite.query.planner`), whose joins and semi-joins bind a level's
-hits, in domain order, from a position index over its domain.
+A `Query` is an expression compiled into nested closures, one per node,
+each a function from a row to the node's value (Feeley & Lapalme 1987);
+`evaluate` runs one.  A script compiles each expression once per op.
 
-Each piece of work is done once per call and key.  A path or
+* A row (`Bindings`) is a tuple: the values of the names the query was
+  compiled with (`evaluate`'s bindings, a template's `$`), then one per
+  comprehension level, bound by `child`.  A variable compiles to its
+  slot's index, a name bound nowhere to the `outer` getter of a script's
+  `img_T`/`arch_T`, or to a closure that raises.
+* A builtin gets its arguments' values straight.  An unknown function
+  or class, a wrong arity or a needless qualifier raises when evaluated.
+* An operator chain is combined from the leftmost operand up, without
+  recursion.  A comprehension runs its plan (`gretlite.query.planner`),
+  whose joins and semi-joins bind a level's hits, in domain order, from a
+  position index over its domain.
+
+Each piece of work is done once per evaluation and key.  A path or
 comprehension in a loop that mentions, of the comprehension variables in
-scope, only ones bound before its level is computed at most once per key,
-the values of those variables; so is any subexpression in a loop that
-mentions none, with the empty key.  Elements key by identity, strings,
-integers and booleans by type and value, and any other value bypasses
-the memo: `value_key` would make `1` and `1.0` one key, but `1 ++ ""` and
-`1.0 ++ ""` differ.  Memos are shared by shape, so the two copies of `C`
-in `tup(count(C), C)` are computed once.
+scope, only ones bound before its level is computed once per key, the
+values in their slots; so is any subexpression in a loop that mentions
+none, with the empty key, as are join indexes and the class names of
+path steps and `degree{...}`.  Elements key by identity, strings,
+integers and booleans by type and value; any other value bypasses the
+memo (`1 ++ ""` and `1.0 ++ ""` differ).  A memo is shared by shape and
+key names, and compiled once, on a row of the root's slots and then the
+key's values: `C` in `tup(count(C), C)` is computed once.  Memo tables
+are emptied after each evaluation: the graph may change between two.
 
-Join indexes and the class names that the class specs of path steps and
-`degree{...}` resolve to are memoised with the empty key too: computed
-on first use, once per call.  So an unknown class, like an unknown
-function or a wrong number of arguments, fails only when it is evaluated,
-and a schema that gains classes between calls is seen by the next call.
-
-A row is kept only if every conjunct is `true`, and rows come out in the
-order of the nested loops, so a plan changes what is computed, not the
-result.  Conjuncts are checked in plan order, and a join computes its
-index and probe before its level's checks, so a `with` clause that raises
-an error on some binding may raise it on another binding than
-left-to-right evaluation would, or on none, or where that would raise
-none.  Evaluation is a pure function of (expression, graph, bindings):
-every collection is built in graph creation order.
+Rows come out in the order of the nested loops, so a plan changes what
+is computed, not the result; but a join computes its index and probe
+before its level's checks, so a `with` clause may raise on another
+binding than left-to-right evaluation would, or where it would not, or
+not at all.  Collections follow graph creation order.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from gretlite import model
 from gretlite.errors import GraphError, QueryError, SchemaError
 from gretlite.query import nodes as n
 from gretlite.query.parser import parse_query
-from gretlite.query.planner import Level, Planner
+from gretlite.query.planner import Planner
 from gretlite.values import (UNDEFINED, OrderedSet, ValueMap, is_collection,
                              leaves, to_text, value_equal, value_key)
 
 _MISSING = object()
 _NONE = frozenset()
-_TOP = (_NONE, _NONE, None)  # where a query's root is evaluated
 _UNMEMOISED = (n.Literal, n.VarRef, n.DollarRef)  # nothing to save
 _KEYED = (n.PathApply, n.Comprehension)  # work worth a memo with a key
 _COMPARISONS = frozenset(("=", "<>", "<", "<=", ">", ">="))
@@ -63,50 +63,13 @@ _STEP_FOLLOWS = {"out": model.OUT, "agg": model.OUT, "in": model.IN,
                  "both": model.OUT | model.IN}
 
 
-class Bindings:
-    """Lexically scoped variable environment.
+class Bindings(tuple):
+    """A row: the values of a query's slots, in order."""
 
-    `fallback` (root scope only) resolves names the chain does not hold,
-    e.g. the trace maps a transformation exposes; it returns None for
-    unknown names.  `dollar` carries the current-member binding."""
+    __slots__ = ()
 
-    __slots__ = ("_vars", "_parent", "_fallback", "_dollar")
-
-    def __init__(self, variables=None, parent=None, fallback=None,
-                 dollar=_MISSING):
-        self._vars = dict(variables) if variables else {}
-        self._parent = parent
-        self._fallback = fallback
-        self._dollar = dollar
-
-    def child(self, variables=None):
-        return Bindings(variables, parent=self)
-
-    def lookup(self, name: str):
-        scope = self
-        while scope is not None:
-            if name in scope._vars:
-                return scope._vars[name]
-            if scope._parent is None and scope._fallback is not None:
-                hit = scope._fallback(name)
-                if hit is not None:
-                    return hit
-            scope = scope._parent
-        raise QueryError(f"unbound variable '{name}'")
-
-    def dollar(self):
-        scope = self
-        while scope is not None:
-            if scope._dollar is not _MISSING:
-                return scope._dollar
-            scope = scope._parent
-        raise QueryError("'$' is not bound here")
-
-
-def _as_bindings(bindings) -> Bindings:
-    if isinstance(bindings, Bindings):
-        return bindings
-    return Bindings(bindings)
+    def child(self, value):  # the row with `value` in the next slot
+        return Bindings((*self, value))
 
 
 def _is_number(v) -> bool:
@@ -119,35 +82,38 @@ def _require_bool(v, what: str):
     raise QueryError(f"{what} must be a boolean")
 
 
-def evaluate(expr, graph: model.Graph, bindings=None):
-    return _Compiler(graph, expr).compile(expr)(_as_bindings(bindings))
+def evaluate(query, graph: model.Graph, bindings=None):
+    """The value of `query`, an expression or a `Query` made for `graph`
+    and the names of `bindings` (name -> value), with `bindings` bound."""
+    if not isinstance(query, Query):
+        query = Query(query, graph, tuple(bindings or ()))
+    assert query.graph is graph, "a Query runs on the graph it was made for"
+    try:
+        return query.run(Bindings([bindings[x] for x in query.names]))
+    finally:
+        for table in query.tables:
+            table.clear()
 
 
-def run_query(text: str, graph: model.Graph, bindings=None, **parse_kwargs):
-    if bindings is not None and not isinstance(bindings, Bindings):
-        extra = tuple(parse_kwargs.get("extra_names", ())) + tuple(bindings)
-        parse_kwargs["extra_names"] = extra
-    return evaluate(parse_query(text, **parse_kwargs), graph, bindings)
+def run_query(text: str, graph: model.Graph, bindings=None):
+    names = tuple(bindings or ())
+    return evaluate(parse_query(text, extra_names=names), graph, bindings)
 
 
 def eval_path(graph: model.Graph, start: model.Vertex, steps,
               classes=None):
-    """Vertices reachable from `start` by applying each step in sequence.
-
-    Forward steps follow start-to-end, backward steps end-to-start,
-    `both` either way; aggregation steps traverse aggregation-flagged
-    edge classes in forward direction only.  `classes` holds, per step,
-    the edge class names it may traverse (None for any), as
-    `_step_classes` resolves them; it is resolved here when not given.
-    """
+    """Vertices reachable from `start` by applying each step in sequence
+    (aggregation steps go forward over aggregation edge classes only).
+    `classes` holds, per step, the edge class names it may traverse (None
+    for any), as `_step_classes` resolves them if not given."""
     if not isinstance(start, model.Vertex):
         raise QueryError("path expressions start at a vertex")
     if classes is None:
         classes = _step_classes(graph.schema, steps)
     start._require_alive()
-    # a frontier is a dict of vertices, which hash by identity: ordered
-    # and duplicate-free without a `value_key` per vertex
-    frontier = {start: None}
+    # a frontier maps each vertex to itself, as the result's store does;
+    # vertices hash by identity, so no vertex needs a `value_key`
+    frontier = {start: start}
     for step, allowed in zip(steps, classes):
         follow = _STEP_FOLLOWS[step.direction]
         out = {}
@@ -157,11 +123,11 @@ def eval_path(graph: model.Graph, start: model.Vertex, steps,
                     continue
                 flags &= follow
                 if flags & model.OUT:
-                    out[edge.end] = None
+                    out[edge.end] = edge.end
                 if flags & model.IN:
-                    out[edge.start] = None
+                    out[edge.start] = edge.start
         frontier = out
-    return OrderedSet(frontier)
+    return OrderedSet.of_elements(frontier)
 
 
 def _spec_names(schema: model.Schema, specs, lookup,
@@ -206,47 +172,51 @@ def _element_set(graph: model.Graph, node: n.ElementSet):
     else:
         pool, lookup = graph.edges, schema.edge_class
     if not node.classes:
-        return OrderedSet(pool)
+        return OrderedSet.of_elements(dict(zip(pool, pool)))
     allowed = _spec_names(schema, node.classes, lookup)
-    return OrderedSet(el for el in pool if el.class_name in allowed)
+    return OrderedSet.of_elements(
+        {el: el for el in pool if el.class_name in allowed})
 
 
-class _Compiler:
-    """Compiles the expression `root` of one `evaluate` call, and holds
-    what the call shares: the graph, the query's planner and the memoised
-    closures by shape, whose tables are the call's own."""
+class Query:
+    """`root` compiled for evaluations on `graph` that bind `names`, in
+    order; `outer` maps any other free name to a function of no arguments
+    returning its value, or to None.  `run` maps a row to the value."""
 
-    __slots__ = ("graph", "root", "planner", "shared")
+    __slots__ = ("graph", "root", "names", "outer", "planner", "shared",
+                 "tables", "run")
 
-    def __init__(self, graph: model.Graph, root):
-        self.graph, self.root = graph, root
+    def __init__(self, root, graph: model.Graph, names=(), outer=None):
+        self.graph, self.root, self.outer = graph, root, outer
+        self.names = {name: slot for slot, name in enumerate(names)}
         self.planner: Planner | None = None  # made at the first comprehension
-        self.shared: dict = {}  # (shape, key names) -> memoised closure
+        self.shared, self.tables = {}, []  # (shape, key) -> (table, fn)
+        self.run = self.compile(root, ({}, len(names), _NONE, None))
 
-    def compile(self, node, at=_TOP):
-        """A function from a `Bindings` to the value of `node`, evaluated
-        where `at` says: (the comprehension variables in scope, those not
-        bound before its level, the key of the memo computing it or None)."""
+    def compile(self, node, at):
+        """A function from a row to `node`'s value where `at` says: (slots
+        in scope by name, row length, its level's name, memo key or None)."""
         if self.planner is None and isinstance(node, n.Comprehension):
             self.planner = Planner(self.root)
-        names = self.planner and self.memo_names(node, at)
-        if names is not None:
-            slot = (self.planner.shape[id(node)], names)
+        key = self.planner and self.memo_key(node, at)
+        if key is not None:  # compiled once, on a row of its own
+            root, slot = len(self.names), (self.planner.shape[id(node)], key)
             if slot not in self.shared:
-                self.shared[slot] = self.memo(
-                    self.compile(node, (at[0], at[1], names)),
-                    tuple(sorted(names)))
-            return self.shared[slot]
+                frame = range(root, root + len(key))
+                self.tables.append({})
+                self.shared[slot] = self.tables[-1], self.compile(
+                    node, (dict(zip(key, frame)), frame.stop, _NONE, key))
+            table, fn = self.shared[slot]
+            return self.memo(fn, tuple([at[0][x] for x in key]), root, table)
         match node:
             case n.Literal(value=value):
                 return lambda env: value
             case n.VarRef(name=name):
-                return lambda env: env.lookup(name)
+                return self.variable(name, at[0])
             case n.DollarRef():
-                return Bindings.dollar
+                return self.variable("$", {})
             case n.ElementSet():
-                graph = self.graph
-                return lambda env: _element_set(graph, node)
+                return lambda env: _element_set(self.graph, node)
             case n.Comprehension():
                 return self.comprehension(node, at)
             case n.Binary():
@@ -257,13 +227,8 @@ class _Compiler:
                 return self.path(node, *parts)
             case n.Call(name="degree"):
                 return self.degree(node, parts)
-            case n.Call(name=name):
-                if node.classes is not None:
-                    fn = _raiser(f"function '{name}' takes no class qualifier")
-                else:
-                    fn = _BUILTINS.get(name) or _raiser(
-                        f"unknown function '{name}'")
-                return lambda env: fn([arg(env) for arg in parts])
+            case n.Call():
+                return _call(node, parts)
             case n.MapLit():
                 def map_literal(env):
                     values = iter([part(env) for part in parts])
@@ -299,64 +264,73 @@ class _Compiler:
             case n.Index():
                 target, index = parts
                 return lambda env: _index(target(env), index(env))
-        return _raiser(f"cannot evaluate {node!r}")
+        return raiser(f"cannot evaluate {node!r}")
 
-    def memo_names(self, node, at) -> frozenset | None:
-        """The variables keying the memo of `node` evaluated where `at`
-        says, or None if it is computed each time: a literal, variable or
-        `$`; what mentions its level's own variable; what a memo with its
-        key computes; outside every loop, what occurs once; and, with a
-        key, what is no path or comprehension (its work would cost about a
-        memo lookup).  Before the first comprehension, nothing is."""
+    def variable(self, name: str, scope: dict):
+        """The slot of `name` in scope or the root's, else its getter."""
+        slot = scope.get(name, self.names.get(name))
+        if slot is not None:
+            return operator.itemgetter(slot)
+        get = self.outer and self.outer(name)
+        if get is not None:
+            return lambda env: get()
+        return raiser("'$' is not bound here" if name == "$"
+                       else f"unbound variable '{name}'")
+
+    def memo_key(self, node, at) -> tuple | None:
+        """The names of the variables keying `node`'s memo where `at` says;
+        None for a literal, variable or `$`, what mentions its level's
+        variable or its memo's key computes, what occurs once outside
+        every loop, and any keyed but a path or comprehension."""
         planner = self.planner
         if planner is None or isinstance(node, _UNMEMOISED):
             return None
-        scope, fresh, held = at
-        names = planner.free[id(node)] & scope
-        if names & fresh or names == held or not (
+        scope, _, fresh, held = at
+        key = tuple(sorted(planner.free[id(node)].intersection(scope)))
+        if not fresh.isdisjoint(key) or key == held or not (
                 scope or planner.count[planner.shape[id(node)]] > 1) or (
-                names and not isinstance(node, _KEYED)):
+                key and not isinstance(node, _KEYED)):
             return None
-        return names
+        return key
 
-    def memo(self, fn, names=()):
-        """`fn`, computed at most once per call for each key: the values
-        of the variables `names` (see the module docstring)."""
-        table = {}
+    def memo(self, fn, key=(), root=None, table=None):
+        """`fn`, computed at most once per evaluation for each key: the
+        values in the slots `key` (see the module docstring).  With `root`,
+        `fn` runs on the row of the first `root` slots and those values."""
+        if table is None:
+            self.tables.append(table := {})
 
         def memo(env, *rest):
-            key = names and tuple([_memo_key(env.lookup(x)) for x in names])
-            value = table.get(key, _MISSING)
+            values = key and tuple([_memo_key(env[slot]) for slot in key])
+            value = table.get(values, _MISSING)
             if value is _MISSING:
-                if None in key:  # a value that bypasses the memo
+                if root is not None:
+                    env = Bindings((*env[:root], *[env[i] for i in key]))
+                if None in values:  # a value that bypasses the memo
                     return fn(env, *rest)
-                value = table[key] = fn(env, *rest)
+                value = table[values] = fn(env, *rest)
             return value
         return memo
 
     # -- comprehensions ----------------------------------------------------
 
     def comprehension(self, node: n.Comprehension, at):
-        """The nested loops of `node`'s plan.  Its pre-checks and first
-        domain are evaluated where `node` is; at level k, the domain with
-        the variables before k in scope, the rest with all of them, and
-        level k's not bound before."""
+        """The nested loops of `node`'s plan.  Level k's domain runs on the
+        row before k, its checks on the row up to k, projections on all."""
         plan = self.planner.plan(node)
         what, levels = plan.what, plan.levels
-        names = [level.name for level in levels]
-        inner = at[0] | frozenset(names)
+        scope, depth = at[0], at[1]
         pre = [self.compile(c, at) for c in plan.pre_checks]
         candidates, checks = [], []
         for k, level in enumerate(levels):
-            here = (inner, frozenset((level.name,)), None)
-            before = (at[0] | frozenset(names[:k]), _NONE, None) if k else at
+            before = (scope, depth + k, _NONE, None) if k else at
+            scope = {**scope, level.name: depth + k}
+            here = (scope, depth + k + 1, frozenset((level.name,)), None)
             candidates.append(self.candidates(level, k, before, here))
             checks.append([self.compile(c, here) for c in level.checks])
-        exprs = [self.compile(e, here) for e in node.exprs]
-        if node.kind == "map":
-            exprs.append(self.compile(node.value_expr, here))
-        project = exprs[0] if len(exprs) == 1 else (
-            lambda scope: tuple([e(scope) for e in exprs]))
+        exprs = [self.compile(e, here) for e in (*node.exprs, node.value_expr)
+                 if e is not None]  # a map's value_expr comes last
+        project = exprs[0] if len(exprs) == 1 else _tuple_of(exprs)
         new, add = _RESULTS[node.kind]
         last = len(levels) - 1
 
@@ -365,10 +339,9 @@ class _Compiler:
             if not _holds(pre, env, what):
                 return result
             # The nested loops, one per level, as a stack of iterators:
-            # scopes[k] is the row bound before level k, rows[k] iterates
-            # level k's candidates for it.
-            pools = [None] * len(names)  # the domain of each level
-            scopes = [env] * len(names)
+            # scopes[k] is the row bound before level k, pools[k] level k's
+            # domain, rows[k] iterates level k's candidates for the row.
+            pools, scopes = [None] * len(levels), [env] * len(levels)
             rows = [candidates[0](env, pools)] + [None] * last
             k = 0
             while k >= 0:
@@ -376,8 +349,8 @@ class _Compiler:
                 if member is _MISSING:
                     k -= 1
                     continue
-                scope = scopes[k].child({names[k]: member})
-                if not _holds(checks[k], scope, what):
+                scope = scopes[k].child(member)
+                if checks[k] and not _holds(checks[k], scope, what):
                     continue
                 if k < last:
                     k += 1
@@ -388,31 +361,29 @@ class _Compiler:
             return result
         return comprehension
 
-    def candidates(self, level: Level, k: int, before, here):
-        """A function from the row bound before level k, and the domains
-        of the levels so far, to an iterator over what level k may bind:
-        with a join, the domain positions its probe's value (or, for a
-        semi-join, its members) index, in domain order."""
+    def candidates(self, level, k: int, before, here):
+        """A function from the row before level k and the domains so far to
+        an iterator over what level k may bind: with a join, the domain
+        positions its probe's value (or members) index, in domain order."""
         names, join = level.decl.names, level.join
         bad = f"declaration domain of {', '.join(names)} must be a collection"
-        domain = (None if level.domain is None
-                  else self.compile(level.domain, before))
+        domain = level.domain and self.compile(level.domain, before)
         if join is not None:
-            many, name = join.many, level.name
+            many = join.many
             key = (None if isinstance(join.key, n.VarRef)
                    else self.compile(join.key, here))
-            probe = self.compile(join.probe, here)
+            # the probe runs on the row before level k, like the domain
+            probe = self.compile(join.probe, (*before[:2], here[2], None))
             index = self.memo(lambda scope, pool: _position_index(
-                key, name, pool, scope))
+                key, pool, scope))
 
         def candidates(scope, pools):
             if domain is not None:  # the first name of its group
                 pool = domain(scope)
                 if not is_collection(pool):
                     raise QueryError(bad)
-                # collections are never changed once built, and an
-                # invariant domain is one value for the whole call: share
-                # it, uncopied
+                # collections are never changed once built: an invariant
+                # domain is one value per evaluation, shared uncopied
                 pools[k:k + len(names)] = [pool] * len(names)
             pool = pools[k]
             if join is None or not pool:
@@ -448,7 +419,7 @@ class _Compiler:
         chain = []
         while (isinstance(node, n.Binary) and node.op not in _COMPARISONS
                and (node.op in _LOGIC) == logic
-               and not (chain and self.memo_names(node, at) is not None)):
+               and not (chain and self.memo_key(node, at) is not None)):
             chain.append(node)
             node = node.left
         first = self.compile(node, at)
@@ -476,20 +447,21 @@ class _Compiler:
 
         def path(env):
             value = start(env)
-            if value is UNDEFINED:
-                return UNDEFINED
-            return eval_path(graph, value, steps, classes(env))
+            return UNDEFINED if value is UNDEFINED else eval_path(
+                graph, value, steps, classes(env))
         return path
 
     def degree(self, node: n.Call, args):
+        if len(args) != 1:
+            return _applied(raiser(
+                f"function 'degree' called with {len(args)} arguments"), args)
         graph, specs = self.graph, node.classes
         allowed = self.memo(lambda env: _spec_names(
             graph.schema, specs, graph.schema.edge_class) if specs else None)
+        arg, = args
 
         def degree(env):
-            values = [arg(env) for arg in args]
-            _arity("degree", values, 1)
-            v = values[0]
+            v = arg(env)
             if not isinstance(v, model.Vertex):
                 raise QueryError("degree expects a vertex")
             names = allowed(env)
@@ -499,14 +471,51 @@ class _Compiler:
         return degree
 
 
+def _call(node: n.Call, parts):
+    """A function from a row to the value of the call `node` on `parts`."""
+    name = node.name
+    fn, arity = _BUILTINS.get(name, (None, None))
+    if node.classes is not None:
+        fn = raiser(f"function '{name}' takes no class qualifier")
+    elif fn is None:
+        fn = raiser(f"unknown function '{name}'")
+    elif arity is None:  # set, list, tup: a collection of the arguments
+        values = _tuple_of(parts)
+        return values if fn is tuple else lambda env: fn(values(env))
+    elif arity != len(parts):
+        fn = raiser(f"function '{name}' called with {len(parts)} arguments")
+    return _applied(fn, parts)
+
+
+def _applied(fn, parts):
+    """A function from a row to `fn` applied to the values of `parts`."""
+    if len(parts) == 1:
+        first, = parts
+        return lambda env: fn(first(env))
+    if len(parts) == 2:
+        first, second = parts
+        return lambda env: fn(first(env), second(env))
+    return lambda env: fn(*[part(env) for part in parts])
+
+
+def _tuple_of(parts):
+    """A function from a row to the tuple of the values of `parts`."""
+    if len(parts) == 2:
+        first, second = parts
+        return lambda env: (first(env), second(env))
+    if len(parts) == 3:
+        first, second, third = parts
+        return lambda env: (first(env), second(env), third(env))
+    return lambda env: tuple([part(env) for part in parts])
+
+
 # per comprehension kind: the type of its result, and how a row is added
 _RESULTS = {"list": (list, list.append), "set": (OrderedSet, OrderedSet.add),
             "map": (ValueMap, lambda result, entry: result.put(*entry))}
 
 
-def _raiser(message: str):
-    """A function that raises `message`: an unknown function, say, is an
-    error of evaluating the call, not of compiling it."""
+def raiser(message: str):
+    """A function that raises `message` when called, on any arguments."""
     def fail(*_):
         raise QueryError(message)
     return fail
@@ -520,12 +529,12 @@ def _memo_key(value):
     return value if isinstance(value, model.Element) else None
 
 
-def _position_index(key, name: str, pool, scope: Bindings):
-    """`pool` as a list, and its positions by the `value_key` of `key` with
-    `name` bound to each member (of the member itself if `key` is None)."""
+def _position_index(key, pool, scope: Bindings):
+    """`pool` as a list, and its positions by the `value_key` of `key` on
+    `scope` with each member bound next (of the member if `key` is None)."""
     members, positions = list(pool), {}
     for p, member in enumerate(members):
-        found = member if key is None else key(scope.child({name: member}))
+        found = member if key is None else key(scope.child(member))
         positions.setdefault(value_key(found), []).append(p)
     return members, positions
 
@@ -619,23 +628,15 @@ def _index(target, index):
 
 # -- builtin functions --------------------------------------------------------
 
-def _arity(name, args, count):
-    if len(args) != count:
-        raise QueryError(f"function '{name}' called with {len(args)} arguments")
-
-
 def _size(name, empty=False):
-    def size(args):
-        _arity(name, args, 1)
-        if not (is_collection(args[0]) or isinstance(args[0], ValueMap)):
+    def size(coll):
+        if not (is_collection(coll) or isinstance(coll, ValueMap)):
             raise QueryError(f"{name} expects a collection")
-        return len(args[0]) == 0 if empty else len(args[0])
+        return len(coll) == 0 if empty else len(coll)
     return size
 
 
-def _builtin_the_element(args):
-    _arity("theElement", args, 1)
-    coll = args[0]
+def _builtin_the_element(coll):
     if not is_collection(coll):
         raise QueryError("theElement expects a collection")
     if len(coll) != 1:
@@ -644,9 +645,7 @@ def _builtin_the_element(args):
     return next(iter(coll))
 
 
-def _builtin_contains(args):
-    _arity("contains", args, 2)
-    coll, needle = args
+def _builtin_contains(coll, needle):
     if isinstance(coll, OrderedSet):
         return needle in coll
     if isinstance(coll, (list, tuple)):
@@ -654,23 +653,19 @@ def _builtin_contains(args):
     raise QueryError("contains expects a collection")
 
 
-def _builtin_key_set(args):
-    _arity("keySet", args, 1)
-    if not isinstance(args[0], ValueMap):
+def _builtin_key_set(value):
+    if not isinstance(value, ValueMap):
         raise QueryError("keySet expects a map")
-    return OrderedSet(args[0].keys())
+    return OrderedSet(value.keys())
 
 
-def _builtin_flatten(args):
-    _arity("flatten", args, 1)
-    if not is_collection(args[0]):
+def _builtin_flatten(coll):
+    if not is_collection(coll):
         raise QueryError("flatten expects a collection")
-    return list(leaves(args[0]))
+    return list(leaves(coll))
 
 
-def _builtin_has_type(args):
-    _arity("hasType", args, 2)
-    el, name = args
+def _builtin_has_type(el, name):
     if not isinstance(el, model.Element):
         raise QueryError("hasType expects a graph element")
     if not isinstance(name, str):
@@ -682,25 +677,25 @@ def _builtin_has_type(args):
 
 
 def _edge_endpoint(which):
-    def fn(args):
-        _arity(which, args, 1)
-        if not isinstance(args[0], model.Edge):
+    def endpoint(edge):
+        if not isinstance(edge, model.Edge):
             raise QueryError(f"{which} expects an edge")
-        return args[0].start if which == "startVertex" else args[0].end
-    return fn
+        return edge.start if which == "startVertex" else edge.end
+    return endpoint
 
 
+# name -> (function, number of arguments, or None for any)
 _BUILTINS = {
-    "count": _size("count"),
-    "theElement": _builtin_the_element,
-    "contains": _builtin_contains,
-    "isEmpty": _size("isEmpty", empty=True),
-    "keySet": _builtin_key_set,
-    "flatten": _builtin_flatten,
-    "hasType": _builtin_has_type,
-    "startVertex": _edge_endpoint("startVertex"),
-    "endVertex": _edge_endpoint("endVertex"),
-    "set": OrderedSet,
-    "list": list,
-    "tup": tuple,
+    "count": (_size("count"), 1),
+    "theElement": (_builtin_the_element, 1),
+    "contains": (_builtin_contains, 2),
+    "isEmpty": (_size("isEmpty", empty=True), 1),
+    "keySet": (_builtin_key_set, 1),
+    "flatten": (_builtin_flatten, 1),
+    "hasType": (_builtin_has_type, 2),
+    "startVertex": (_edge_endpoint("startVertex"), 1),
+    "endVertex": (_edge_endpoint("endVertex"), 1),
+    "set": (OrderedSet, None),
+    "list": (list, None),
+    "tup": (tuple, None),
 }

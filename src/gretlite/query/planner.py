@@ -15,16 +15,14 @@ plan says what the evaluator does at each level:
   variables, only level k's, and the other (the probe) some earlier ones;
   or the semi-join `contains(S, x)`, where x is level k's variable and S
   mentions only earlier ones.  The domain must mention no comprehension
-  variable, so one index serves the whole `evaluate` call.
+  variable, so one index serves a whole evaluation.
 
-A `Planner` is made for the whole expression of an `evaluate` call.  It
-plans each comprehension in it, and knows the free variables of every
-node and its shape: an integer that two nodes share when they are
-structurally equal (`1` and `1.0`, or `-0.0` and `0.0`, are not), and how
-often each shape occurs.  The evaluator keys its memos on shapes.  A plan
-holds the parsed nodes and depends on the tree alone.  All walks here use
-explicit stacks; only nested comprehensions recurse, and the parser
-bounds their depth.
+A `Planner` is made for the whole expression of a compiled query.  It
+knows the free variables of every node and its shape: an integer that
+two nodes share when they are structurally equal (`1` and `1.0`, or
+`-0.0` and `0.0`, are not), and how often each shape occurs.  All walks
+here use explicit stacks; only nested comprehensions recurse, and the
+parser bounds their depth.
 """
 
 from __future__ import annotations
@@ -36,10 +34,9 @@ _NONE = frozenset()
 
 
 class Join(Record):
-    """A conjunct answered from an index over the level's domain: `key`
-    (over the level's variable) indexes it, and the value of `probe` (over
-    earlier ones), or with `many` (`contains(probe, key)`) each member of
-    it, looks it up."""
+    """A conjunct answered from an index over the level's domain, by `key`
+    (over the level's variable), at the value of `probe` (over earlier
+    ones) or, with `many` (`contains(probe, key)`), at each member."""
 
     __slots__ = ("key", "probe", "many")
 
@@ -158,9 +155,9 @@ class Planner:
     def join(self, conjunct, k: int, name: str, level_of) -> Join | None:
         """A join for `conjunct` at level k, whose domain is invariant: the
         key side mentions no comprehension variable of the query but the
-        level's own, so one index serves the whole call, and the probe
+        level's own, so one index serves a whole evaluation, and the probe
         only earlier ones.  An invariant probe of `=` would look the index
-        up once per call, which gains nothing over checking the conjunct."""
+        up once per evaluation, which gains nothing over a check."""
         match conjunct:
             case n.Call(name="contains", classes=None,
                         args=(probe, n.VarRef(name=x) as key)) if x == name:

@@ -8,7 +8,7 @@ during execution see those maps as `img_T` / `arch_T` bindings.
 One ExecutionResult is the record of a run: the source and target graphs,
 the trace, the mode, the count each top-level op reports and the
 applied/skipped counts of every MatchReplace invocation.  Its `eval`
-evaluates an op's queries against the source with the trace maps bound.
+evaluates an op's expression on the source, compiled once per op.
 
 CreateSubgraph and MatchReplace instantiate a template the same way.
 The template's new vertices are created in order, each archetype
@@ -29,8 +29,8 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from gretlite import model
-from gretlite.errors import GretliteError, QueryError, TransformError
-from gretlite.query.evaluator import Bindings, evaluate
+from gretlite.errors import GretliteError, TransformError
+from gretlite.query.evaluator import Query, evaluate, raiser
 from gretlite.transform import ops
 from gretlite.values import (UNDEFINED, OrderedSet, ValueMap, is_collection,
                              leaves, render_value, value_key)
@@ -136,20 +136,24 @@ class ExecutionResult:
         self.in_place = in_place
         self.op_counts: list[tuple[str, int]] = []
         self.match_invocations: list[MatchReplaceStats] = []
+        self._queries: dict = {}  # id(expression) -> its compiled Query
 
     def eval(self, expr, dollar=_MISSING):
-        env = Bindings(fallback=self._trace_lookup, dollar=dollar)
-        return evaluate(expr, self.source, env)
+        """The value of `expr`, with `$` bound to `dollar` if given."""
+        names = {} if dollar is _MISSING else {"$": dollar}
+        query = self._queries.get(id(expr))
+        if query is None:
+            query = self._queries[id(expr)] = Query(
+                expr, self.source, tuple(names), self._trace_view)
+        return evaluate(query, self.source, names)
 
-    def _trace_lookup(self, name: str):
-        for prefix, fn in (("img_", self.trace.img_value),
-                           ("arch_", self.trace.arch_value)):
-            if name.startswith(prefix):
-                cls = name[len(prefix):]
-                if not self.graph.schema.has_class(cls):
-                    raise QueryError(f"unknown class '{cls}' in '{name}'")
-                return fn(cls)
-        return None
+    def _trace_view(self, name: str):
+        """The getter of the trace view `img_T` or `arch_T` names, or None."""
+        trace, (kind, _, cls) = self.trace, name.partition("_")
+        view = {"img": trace.img_value, "arch": trace.arch_value}.get(kind)
+        if view is not None and not self.graph.schema.has_class(cls):
+            return raiser(f"unknown class '{cls}' in '{name}'")
+        return view and (lambda: view(cls))
 
 
 def execute(transformation: ops.Transformation,
@@ -177,32 +181,19 @@ def execute(transformation: ops.Transformation,
             source = model.Graph(target_schema, name="empty")
     ctx = ExecutionResult(source, target, TraceabilityMap(target.schema),
                           in_place)
-    for index, op in enumerate(transformation.ops, start=1):
+    for index, (op, line) in enumerate(
+            zip(transformation.ops, transformation.lines), start=1):
         try:
             count = _run_op(ctx, op)
         except GretliteError as exc:
-            raise TransformError(f"op {index}: {exc}") from exc
+            raise TransformError(f"op {index}: {exc} (line {line})") from exc
         ctx.op_counts.append((type(op).__name__, count))
+        ctx._queries.clear()  # each op compiles its expressions once
     return ctx
 
 
 def _run_op(ctx: ExecutionResult, op) -> int:
-    match op:
-        case ops.CreateVertices():
-            return _create_vertices(ctx, op)
-        case ops.CreateEdges():
-            return _create_edges(ctx, op)
-        case ops.SetAttributes():
-            return _set_attributes(ctx, op)
-        case ops.CreateSubgraph():
-            return _create_subgraph(ctx, op)
-        case ops.MatchReplace():
-            return _match_replace(ctx, op)
-        case ops.Delete():
-            return _delete(ctx, op)
-        case ops.Iteratively():
-            return _iteratively(ctx, op)
-    raise TransformError(f"unknown operation {op!r}")
+    return _RUN[type(op)](ctx, op)
 
 
 def _require_set(value, op_name: str) -> OrderedSet:
@@ -389,3 +380,9 @@ def _iteratively(ctx, op: ops.Iteratively) -> int:
                 changed = True
         if not changed:
             return rounds
+
+
+_RUN = {ops.CreateVertices: _create_vertices, ops.CreateEdges: _create_edges,
+        ops.SetAttributes: _set_attributes,
+        ops.CreateSubgraph: _create_subgraph, ops.MatchReplace: _match_replace,
+        ops.Delete: _delete, ops.Iteratively: _iteratively}

@@ -63,4 +63,4 @@ Op = (
 
 
 class Transformation(Record):
-    __slots__ = ("name", "ops")
+    __slots__ = ("name", "ops", "lines")  # lines: where each op starts

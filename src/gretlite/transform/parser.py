@@ -36,10 +36,11 @@ def parse_script(text: str) -> ops.Transformation:
     ts.next()
     name = ts.expect_ident().text
     ts.expect_symbol(";")
-    statements = []
+    statements, lines = [], []
     while not ts.at_eof():
+        lines.append(ts.peek().line)
         statements.append(_statement(ts, 0))
-    return ops.Transformation(name, tuple(statements))
+    return ops.Transformation(name, tuple(statements), tuple(lines))
 
 
 def _statement(ts: TokenStream, depth: int):

@@ -44,7 +44,8 @@ def value_key(v):
     if isinstance(v, bool):
         return ("b", v)
     if isinstance(v, tuple):
-        return ("t", tuple(map(value_key, v)))
+        return ("t", tuple([x if type(x) in _SELF_KEYED else value_key(x)
+                            for x in v]))
     if isinstance(v, list):
         return ("l", tuple(map(value_key, v)))
     if isinstance(v, OrderedSet):
@@ -81,6 +82,13 @@ class OrderedSet:
         self._items: dict = {}
         for v in items:
             self.add(v)
+
+    @classmethod
+    def of_elements(cls, items: dict) -> OrderedSet:
+        """The set over `items`, which maps graph elements to themselves."""
+        result = object.__new__(cls)
+        result._items = items
+        return result
 
     def add(self, value):
         self._items.setdefault(value_key(value), value)

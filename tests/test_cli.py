@@ -541,7 +541,7 @@ def test_huge_double_set_by_a_script_is_a_user_error(workdir, capsys):
                  "--out", str(workdir / "out.glg")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: op 2: attribute 'd' rejects non-finite value\n")
+        "error: op 2: attribute 'd' rejects non-finite value (line 3)\n")
 
 
 _DUMP = """

@@ -421,6 +421,17 @@ class TestExecutionShell:
         with pytest.raises(TransformError, match="^op 2"):
             execute(s, target_schema=hello_ext_schema)
 
+    def test_errors_name_the_op_line(self, sample1):
+        # an error in an Iteratively body names the Iteratively's line
+        s = script("Delete set();\n\n"
+                   "Iteratively {\n"
+                   "  Delete set(1);\n"
+                   "}")
+        with pytest.raises(TransformError, match=r"^op 2: Delete results "
+                           r"must contain graph elements only, got 1 "
+                           r"\(line 4\)$"):
+            execute(s, sample1, in_place=True)
+
     def test_queries_run_against_the_source(self, graph1_schema, sample1):
         run = execute(script("CreateVertices Node <== V{Node};\n"
                              "CreateVertices Graph_ <== V{Graph_};"),
@@ -463,6 +474,13 @@ class TestTraceability:
         s = script("CreateVertices Person <== keySet(img_Nope);")
         with pytest.raises(TransformError, match="unknown class 'Nope'"):
             execute(s, target_schema=hello_ext_schema)
+
+    def test_unknown_trace_class_fails_only_when_evaluated(
+            self, hello_ext_schema):
+        s = script("CreateVertices Person <== "
+                   "false ? keySet(img_Nope) : set(1);")
+        run = execute(s, target_schema=hello_ext_schema)
+        assert run.op_counts == [("CreateVertices", 1)]
 
     def test_held_view_is_unchanged_by_register(self, hello_ext_schema):
         g = Graph(hello_ext_schema)

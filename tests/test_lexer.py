@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from gretlite import corpus
 from gretlite.errors import ParseError
-from gretlite.lexer import _SYMBOLS, TokenStream, tokenize
+from gretlite.lexer import _SYMBOLS, TokenStream, string_value, tokenize
 
 import oracles
 
@@ -100,3 +100,14 @@ def test_peek_past_the_end_returns_eof():
     assert ts.peek(5).kind == "EOF"
     ts.next()
     assert ts.next().kind == ts.peek(1).kind == "EOF"
+
+
+@pytest.mark.parametrize("literal, value", [
+    ('"plain"', "plain"), ('""', ""), ('"a\\\\b"', "a\\b"),
+    ('"say \\"hi\\""', 'say "hi"'), ('"1\\n2"', "1\n2"),
+    ('"\\t"', "\t"), ('"a\\rb"', "a\rb"),
+])
+def test_string_literal_values(literal, value):
+    # one literal per escape, and literals without a backslash
+    assert string_value(literal) == value
+    assert tokenize(literal)[0].value == value

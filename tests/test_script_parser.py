@@ -16,6 +16,7 @@ def test_two_statement_script():
     assert [type(op) for op in t.ops] == [ops.CreateVertices, ops.SetAttributes]
     assert t.ops[0].class_name == "Greeting"
     assert t.ops[1].attr_name == "text"
+    assert t.lines == (2, 3)
 
 
 def test_header_is_required():
@@ -41,6 +42,7 @@ def test_nested_iteratively():
     outer = t.ops[0]
     assert isinstance(outer.body[0], ops.Iteratively)
     assert isinstance(outer.body[0].body[0], ops.Delete)
+    assert t.lines == (2,)  # top-level ops only
 
 
 def test_iteratively_nesting_limit():
