@@ -14,11 +14,15 @@ START and END (required for edge classes, absent for vertex classes) are
 labels of vertices declared earlier.  A LITERAL is a string, a number
 with an optional '-' before it, `true` or `false`.  Whitespace and `//`
 comments may stand between any two tokens, and identifiers, numbers and
-strings follow the lexer's rules.  The header goes through the lexer;
-each statement is read with one match of `_STATEMENT`, and its attribute
-entries with `_ENTRY`.  Every error is a ParseError with the line and
-column of the offending token, and the first fault in file order is the
-one reported.
+strings follow the lexer's rules.  The header goes through the lexer.
+
+The statements are read by matching `_LEAN`, which takes whole
+statements only, each where the last one ended, and an attribute block's
+entries with `_ENTRY` the same way.  That reader builds no message: at a
+statement it cannot take it stops, and `_fault` reads that one statement
+with `_STATEMENT`, which shows how far it got, and raises.  So every
+error is a ParseError with the line and column of the offending token,
+and the first fault in file order is the one reported.
 """
 
 from __future__ import annotations
@@ -27,28 +31,19 @@ import re
 
 from gretlite import model
 from gretlite.errors import GraphError, ParseError, SchemaError
-from gretlite.lexer import (
-    IDENT,
-    NUMBER,
-    STRING,
-    Token,
-    TokenStream,
-    scan,
-    string_value,
-    tokenize,
-)
+from gretlite.lexer import (IDENT, NUMBER, STRING, Token, TokenStream, scan,
+                            string_value, tokenize)
+from gretlite.model import Vertex, VertexClass
 from gretlite.values import render_value
 
 _ATTR_TYPES = {t.value: t for t in model.AttrType}
 
 # Each piece of the `.glg` patterns below matches exactly the lexer's
 # token: whitespace and whole `//` comments (a comment never gives back
-# characters), the lexer's own identifier, number and string rules, and
-# a symbol only where the lexer would not read a longer one (':' but not
-# ':=', '-' but not '->' or '-->').  Every group is optional after the
-# first, so a failed statement still shows how far it got.  They are
-# compiled on first use (`re` keeps them), so a process that reads no
-# graph does not compile them.
+# characters), the lexer's identifier, number and string rules, and a
+# symbol only where the lexer would not read a longer one (':' but not
+# ':=', '-' but not '->' or '-->').  Each is compiled on first use, and
+# `_STATEMENT` only for a file with a fault.
 _S = r"\s*(?://.*(?!.)\s*)*"
 # groups: name, string, '-', number, boolean
 _ENTRY = (
@@ -56,7 +51,17 @@ _ENTRY = (
     rf"(?:({STRING})|(?:(-){_S})?({NUMBER})|(true|false)(?!\w))"
     rf"{_S}(?:,{_S})?"
 )
-# the statement repeats the entry pattern with its groups made non-capturing
+# an attribute block's text up to its '}', strings and comments skipped
+# whole; `_ENTRY` then reads it
+_BLOCK = rf'[^"}}/]*(?:(?:{STRING}|//.*(?!.))[^"}}/]*)*'
+# groups: label, class, start, end, block
+_LEAN = (
+    rf"({IDENT}){_S}:{_S}({IDENT}){_S}"
+    rf"(?:({IDENT}){_S}->{_S}({IDENT}){_S})?"
+    rf"(?:\{{{_S}({_BLOCK})\}}{_S})?;{_S}"
+)
+# `_fault`'s pattern has every group optional after the first, so it
+# shows how far a statement got; it repeats `_ENTRY`, groups uncaptured.
 _ENTRIES = "(?:" + re.sub(r"\((?!\?)", "(?:", _ENTRY) + ")*"
 # groups: label, ':', class, start, '->', end, '{', entries, '}', ';'
 _STATEMENT = (
@@ -84,29 +89,26 @@ def load_schema(text: str) -> model.Schema:
 
 def _class_decl(ts: TokenStream, schema: model.Schema):
     tok = ts.peek()
-    is_aggregation = False
-    is_abstract = False
-    if ts.at_ident("aggregation"):
+    is_aggregation = ts.at_ident("aggregation")
+    if is_aggregation:
         ts.next()
-        is_aggregation = True
-    if ts.at_ident("abstract"):
+    is_abstract = ts.at_ident("abstract")
+    if is_abstract:
         ts.next()
-        is_abstract = True
-    if ts.at_ident("vertexclass"):
-        if is_aggregation:
-            ts.error("'aggregation' applies to edge classes only")
-        ts.next()
-        name = ts.expect_ident().text
-        supers = _supertypes(ts)
+    if is_aggregation and ts.at_ident("vertexclass"):
+        ts.error("'aggregation' applies to edge classes only")
+    if not ts.at_ident("vertexclass", "edgeclass"):
+        ts.error("expected a class declaration")
+    is_vertex_class = ts.next().text == "vertexclass"
+    name = ts.expect_ident().text
+    supers = _supertypes(ts)
+    if is_vertex_class:
         attrs = _attr_block(ts)
         ts.expect_symbol(";")
         define = lambda: schema.define_vertex_class(
             name, is_abstract=is_abstract, supertypes=supers, attributes=attrs
         )
-    elif ts.at_ident("edgeclass"):
-        ts.next()
-        name = ts.expect_ident().text
-        supers = _supertypes(ts)
+    else:
         ts.expect_ident("from")
         from_class = ts.expect_ident().text
         _skip_multiplicity(ts)
@@ -119,8 +121,6 @@ def _class_decl(ts: TokenStream, schema: model.Schema):
             name, from_class, to_class, is_abstract=is_abstract,
             supertypes=supers, is_aggregation=is_aggregation, attributes=attrs,
         )
-    else:
-        ts.error("expected a class declaration")
     try:
         define()
     except SchemaError as exc:
@@ -149,10 +149,8 @@ def _attr_block(ts: TokenStream) -> tuple:
         type_tok = ts.expect_ident()
         atype = _ATTR_TYPES.get(type_tok.text)
         if atype is None:
-            raise ParseError(
-                f"unknown attribute type '{type_tok.text}'",
-                type_tok.line, type_tok.column,
-            )
+            raise ParseError(f"unknown attribute type '{type_tok.text}'",
+                             type_tok.line, type_tok.column)
         attrs.append((name, atype))
         if ts.at_symbol(","):
             ts.next()
@@ -169,12 +167,9 @@ def _skip_multiplicity(ts: TokenStream):
         ts.error("expected a multiplicity lower bound")
     ts.next()
     ts.expect_symbol(",")
-    if ts.at_symbol("*"):
-        ts.next()
-    elif ts.peek().kind == "NUMBER":
-        ts.next()
-    else:
+    if not (ts.at_symbol("*") or ts.peek().kind == "NUMBER"):
         ts.error("expected a multiplicity upper bound")
+    ts.next()
     ts.expect_symbol(")")
 
 
@@ -188,90 +183,121 @@ def load_graph(text: str, schema: model.Schema) -> model.Graph:
     ts.expect_ident("conforms")
     schema_tok = ts.expect_ident()
     if schema_tok.text != schema.name:
-        raise ParseError(
-            f"graph conforms to '{schema_tok.text}' but schema "
-            f"'{schema.name}' was given",
-            schema_tok.line, schema_tok.column,
-        )
+        raise ParseError(f"graph conforms to '{schema_tok.text}' but schema "
+                         f"'{schema.name}' was given",
+                         schema_tok.line, schema_tok.column)
     ts.expect_symbol(";")
     graph = model.Graph(schema, name=name_tok.text)
     labels: dict[str, model.Element] = {}
-    statement, entries = re.compile(_STATEMENT), re.compile(_ENTRY)
+    classes = schema._classes
+    create_vertex, create_edge = graph.create_vertex, graph.create_edge
+    statement, entry = re.compile(_LEAN).match, re.compile(_ENTRY).match
     pos = header.end()
-    while pos < len(text):
-        m = statement.match(text, pos)
-        if m is None:
-            _expected(text, pos, "identifier")
-        label, colon, class_name, start, arrow, end, brace, _, close, semi = \
-            m.groups()
-        # a label the lexer rejects ('²x') fails as `_invalid` lexes it
-        if not (label[0].isalpha() or label[0] == "_") or label in labels:
-            _invalid(text, pos, f"duplicate element id '{label}'")
-        if colon is None:
-            _expected(text, m.end(1), "':'")
-        if class_name is None:
-            _expected(text, m.end(2), "identifier")
-        cls = schema._classes.get(class_name)
-        if cls is None:
-            _invalid(text, m.start(3), f"unknown class '{class_name}'")
+    while (m := statement(text, pos)) is not None:
+        label, class_name, start, end, block = m.groups()
+        cls = classes.get(class_name)
+        if cls is None or label in labels or not (
+                label[0].isalpha() or label[0] == "_"):
+            break
         try:
-            if type(cls) is model.VertexClass:
-                element = graph.create_vertex(class_name)
+            if type(cls) is VertexClass:
                 if start is not None:
-                    _expected(text, m.start(4), "';'")
+                    break
+                element = create_vertex(class_name)
             else:
-                if start is None:
-                    _expected(text, m.end(3), "identifier")
-                tail = _vertex(text, m, 4, labels)
-                if arrow is None:
-                    _expected(text, m.end(4), "'->'")
-                if end is None:
-                    _expected(text, m.end(5), "identifier")
-                element = graph.create_edge(class_name, tail,
-                                            _vertex(text, m, 6, labels))
-        except GraphError as exc:
-            _invalid(text, m.start(3), str(exc))
+                tail, head = labels.get(start), labels.get(end)
+                if type(tail) is not Vertex or type(head) is not Vertex:
+                    break
+                element = create_edge(class_name, tail, head)
+            if block is not None:
+                at, block_end = m.span(5)
+                while (e := entry(text, at, block_end)) is not None:
+                    element.set_attr(e[1], _value(e))
+                    at = e.end()
+                if at != block_end:
+                    break
+        except (GraphError, SchemaError, ValueError):
+            break
         labels[label] = element
-        if brace is not None:
-            for e in entries.finditer(text, m.start(8), m.end(8)):
-                _set_attr(text, e, element)
-            if close is None:
-                _entry_fault(text, m.end(8))
-        if semi is None:
-            _expected(text, m.end(), "';'")
         pos = m.end()
+    if pos != len(text):
+        _fault(text, pos, graph, labels)
     return graph
 
 
-def _vertex(text: str, m: re.Match, group: int, labels) -> model.Vertex:
+def _fault(text: str, pos: int, graph: model.Graph, labels):
+    """Raise the error of the statement at `pos`, which `load_graph` did
+    not take, given the `labels` declared before it."""
+    m = re.compile(_STATEMENT).match(text, pos)
+    if m is None:
+        _expected(text, pos, "identifier")
+    label, colon, class_name, start, arrow, end, brace, _, close, semi = \
+        m.groups()
+    # a label the lexer rejects ('²x') fails as `_invalid` lexes it
+    if not (label[0].isalpha() or label[0] == "_") or label in labels:
+        _invalid(text, pos, f"duplicate element id '{label}'")
+    if colon is None:
+        _expected(text, m.end(1), "':'")
+    if class_name is None:
+        _expected(text, m.end(2), "identifier")
+    cls = graph.schema._classes.get(class_name)
+    if cls is None:
+        _invalid(text, m.start(3), f"unknown class '{class_name}'")
+    try:
+        if type(cls) is VertexClass:
+            element = graph.create_vertex(class_name)
+            if start is not None:
+                _expected(text, m.start(4), "';'")
+        else:
+            if start is None:
+                _expected(text, m.end(3), "identifier")
+            tail = _vertex(text, m, 4, labels)
+            if arrow is None:
+                _expected(text, m.end(4), "'->'")
+            if end is None:
+                _expected(text, m.end(5), "identifier")
+            element = graph.create_edge(class_name, tail,
+                                        _vertex(text, m, 6, labels))
+    except GraphError as exc:
+        _invalid(text, m.start(3), str(exc))
+    if brace is not None:
+        for e in re.compile(_ENTRY).finditer(text, m.start(8), m.end(8)):
+            try:
+                value = _value(e)
+            except ValueError:  # the lexer reports the over-long literal
+                _invalid(text, e.start(4), "number literal too long")
+            try:
+                element.set_attr(e[1], value)
+            except (GraphError, SchemaError) as exc:
+                _invalid(text, e.start(), str(exc))
+        if close is None:
+            _entry_fault(text, m.end(8))
+    if semi is None:
+        _expected(text, m.end(), "';'")
+    raise AssertionError(f"no fault in the statement at offset {pos}")
+
+
+def _vertex(text: str, m: re.Match, group: int, labels) -> Vertex:
     name = m[group]
     element = labels.get(name)
     if element is None:
         _invalid(text, m.start(group),
                  f"edge references undeclared element '{name}'")
-    if not isinstance(element, model.Vertex):
+    if not isinstance(element, Vertex):
         _invalid(text, m.start(group),
                  f"edge endpoint '{name}' is not a vertex")
     return element
 
 
-def _set_attr(text: str, e: re.Match, element: model.Element):
-    name, string, minus, number, boolean = e.groups()
+def _value(e: re.Match):
+    """An `_ENTRY` match's value; ValueError beyond int()'s digit limit."""
+    _, string, minus, number, boolean = e.groups()
     if string is not None:
-        value = string_value(string)
-    elif number is not None:
-        try:
-            value = int(number) if number.isdecimal() else float(number)
-        except ValueError:  # the lexer reports the over-long literal
-            _invalid(text, e.start(4), "number literal too long")
-        if minus is not None:
-            value = -value
-    else:
-        value = boolean == "true"
-    try:
-        element.set_attr(name, value)
-    except (GraphError, SchemaError) as exc:
-        _invalid(text, e.start(), str(exc))
+        return string_value(string)
+    if number is None:
+        return boolean == "true"
+    value = int(number) if number.isdecimal() else float(number)
+    return value if minus is None else -value
 
 
 def _entry_fault(text: str, pos: int):
@@ -311,7 +337,7 @@ def save_graph(graph: model.Graph) -> str:
     return "".join(lines)
 
 
-def _vertex_labels(graph: model.Graph) -> dict[model.Vertex, str]:
+def _vertex_labels(graph: model.Graph) -> dict[Vertex, str]:
     """Each vertex's positional label, v1, v2, ... in creation order."""
     return {v: f"v{i}" for i, v in enumerate(graph.vertices, 1)}
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from types import MappingProxyType
 
 from gretlite.errors import GraphError, SchemaError
 from gretlite.record import Record
@@ -154,13 +153,8 @@ class Schema:
             self.element_class(sup)
         return sup in supers
 
-    def flat_attributes(self, name: str) -> MappingProxyType:
-        """All attributes of a class after inheritance flattening, as a
-        read-only attr name -> AttrType mapping."""
-        return MappingProxyType(self._lookup(self._attr_types, name))
-
     def attribute_type(self, class_name: str, attr_name: str) -> AttrType:
-        atype = self.flat_attributes(class_name).get(attr_name)
+        atype = self._lookup(self._attr_types, class_name).get(attr_name)
         if atype is None:
             raise SchemaError(
                 f"class '{class_name}' declares no attribute '{attr_name}'")
@@ -283,12 +277,6 @@ class Element:
         self.graph.revision += 1
         return True
 
-    def attr_names(self) -> list[str]:
-        return list(self._attrs)
-
-    def is_instance_of(self, class_name: str) -> bool:
-        return self.graph.schema.conforms(self.class_name, class_name)
-
     def _require_alive(self):
         if not self.alive:
             raise GraphError(f"element {self.ref()} was deleted")
@@ -390,11 +378,16 @@ class Graph:
             schema.edge_class(class_name)  # raises
         if cls.is_abstract:
             raise GraphError(f"class '{class_name}' is abstract")
-        for endpoint in (start, end):
-            if not isinstance(endpoint, Vertex) or endpoint.graph is not self:
-                raise GraphError("edge endpoint is not a vertex of this graph")
-            if not endpoint.alive:
-                raise GraphError(f"edge endpoint {endpoint.ref()} was deleted")
+        if not (type(start) is Vertex and type(end) is Vertex
+                and start.graph is self and end.graph is self
+                and start.alive and end.alive):
+            for endpoint in (start, end):
+                if not isinstance(endpoint, Vertex) or endpoint.graph is not self:
+                    raise GraphError(
+                        "edge endpoint is not a vertex of this graph")
+                if not endpoint.alive:
+                    raise GraphError(
+                        f"edge endpoint {endpoint.ref()} was deleted")
         # both endpoints are vertices of this graph, so their classes are known
         supers = schema._supers
         if cls.from_class not in supers[start.class_name]:
@@ -412,7 +405,7 @@ class Graph:
         e = self._edges[eid] = Edge(
             self, eid, cls.name, schema._defaults[class_name], start, end)
         start._entries[e] = OUT
-        end._entries[e] = end._entries.get(e, 0) | IN
+        end._entries[e] = IN if end is not start else OUT | IN
         self.revision += 1
         return e
 

@@ -670,10 +670,10 @@ def _builtin_has_type(el, name):
         raise QueryError("hasType expects a graph element")
     if not isinstance(name, str):
         raise QueryError("hasType expects a class name string")
-    try:
-        return el.is_instance_of(name)
-    except SchemaError as exc:
-        raise QueryError(str(exc)) from None
+    supers = el.graph.schema._supers
+    if name not in supers:
+        raise QueryError(f"unknown class '{name}'")
+    return name in supers[el.class_name]
 
 
 def _edge_endpoint(which):

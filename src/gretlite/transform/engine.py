@@ -70,7 +70,9 @@ class TraceabilityMap:
 
     def register(self, class_name: str, archetype, element: model.Element):
         key = value_key(archetype)
-        lookups = self._schema.superclasses(class_name)
+        lookups = self._schema._supers.get(class_name)
+        if lookups is None:
+            self._schema.element_class(class_name)  # unknown: SchemaError
         unions = self._unions
         for lookup in lookups:
             if key in unions.get(lookup, ()):

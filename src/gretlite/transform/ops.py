@@ -56,11 +56,5 @@ class Iteratively(Record):
     __slots__ = ("body",)
 
 
-Op = (
-    CreateVertices | CreateEdges | SetAttributes | CreateSubgraph
-    | MatchReplace | Delete | Iteratively
-)
-
-
 class Transformation(Record):
     __slots__ = ("name", "ops", "lines")  # lines: where each op starts

@@ -49,29 +49,20 @@ def _statement(ts: TokenStream, depth: int):
     if tok.kind != "IDENT" or tok.text not in _STATEMENT_KEYWORDS:
         ts.error("expected an operation keyword")
     keyword = ts.next().text
-    if keyword == "CreateVertices":
-        class_name = ts.expect_ident().text
-        query = _query_after_arrow(ts)
-        return ops.CreateVertices(class_name, query)
-    if keyword == "CreateEdges":
-        class_name = ts.expect_ident().text
-        query = _query_after_arrow(ts)
-        return ops.CreateEdges(class_name, query)
+    op = getattr(ops, keyword)  # each keyword names its op's class
+    # arguments are evaluated left to right, so tokens are read in order
+    if keyword in ("CreateVertices", "CreateEdges"):
+        return op(ts.expect_ident().text, _query_after_arrow(ts))
     if keyword == "SetAttributes":
         class_name = ts.expect_ident().text
         ts.expect_symbol(".")
-        attr_name = ts.expect_ident().text
-        query = _query_after_arrow(ts)
-        return ops.SetAttributes(class_name, attr_name, query)
+        return op(class_name, ts.expect_ident().text, _query_after_arrow(ts))
     if keyword in ("CreateSubgraph", "MatchReplace"):
-        template = _template(ts)
-        query = _query_after_arrow(ts)
-        op = ops.CreateSubgraph if keyword == "CreateSubgraph" else ops.MatchReplace
-        return op(template, query)
+        return op(_template(ts), _query_after_arrow(ts))
     if keyword == "Delete":
         query = parse_embedded(ts)
         ts.expect_symbol(";")
-        return ops.Delete(query)
+        return op(query)
     # Iteratively
     if depth == MAX_DEPTH:
         raise ParseError(
@@ -86,7 +77,7 @@ def _statement(ts: TokenStream, depth: int):
     if not body:
         ts.error("Iteratively block must contain at least one operation")
     ts.next()
-    return ops.Iteratively(tuple(body))
+    return op(tuple(body))
 
 
 def _query_after_arrow(ts: TokenStream):
@@ -124,7 +115,7 @@ class _TemplateParser:
     def _endpoint(self) -> str:
         if self.ts.at_symbol("("):
             self.ts.next()
-            alias = self._alias_token()
+            alias = self.ts.expect_ident().text
             if self.ts.at_symbol(")"):
                 self.ts.next()
                 return self._known(alias)
@@ -148,7 +139,7 @@ class _TemplateParser:
                                    assigns=assigns)
             )
             return alias
-        return self._known(self._alias_token())
+        return self._known(self.ts.expect_ident().text)
 
     def _arrow_body(self):
         self.ts.expect_symbol("{")
@@ -171,9 +162,6 @@ class _TemplateParser:
             self.ts.expect_symbol("=")
             assigns.append((name, parse_embedded(self.ts)))
         return tuple(assigns)
-
-    def _alias_token(self) -> str:
-        return self.ts.expect_ident().text
 
     def _declare(self, vertex: ops.TemplateVertex):
         if vertex.alias in self.aliases:

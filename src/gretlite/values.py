@@ -13,13 +13,6 @@ from gretlite import model
 
 
 class _Undefined:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "undefined"
 

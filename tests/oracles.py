@@ -253,7 +253,7 @@ def canonical_form(g):
     """
 
     def attr_sig(el):
-        return tuple(sorted((a, repr(el.attr(a))) for a in el.attr_names()))
+        return tuple(sorted((a, repr(el.attr(a))) for a in el._attrs))
 
     colors = {id(v): (v.class_name, attr_sig(v)) for v in g.vertices}
     for _ in range(max(1, len(g.vertices))):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gretlite import corpus
-from gretlite.errors import TransformError
+from gretlite.errors import SchemaError, TransformError
 from gretlite.formats import load_graph, save_graph
 from gretlite.model import Graph, Schema
 from gretlite.transform import TraceabilityMap, engine, execute, parse_script
@@ -461,6 +461,14 @@ class TestTraceability:
         assert trace.image("GraphComponent", 1) is v
         assert trace.image("Edge_", 1) is None
         assert trace.img_value("GraphComponent").get(1) is v
+
+    def test_register_under_an_unknown_class_is_a_schema_error(self):
+        schema = genutil.graph1evo_schema()
+        trace = TraceabilityMap(schema)
+        v = Graph(schema).create_vertex("Node")
+        with pytest.raises(SchemaError, match="^unknown class 'Nope'$"):
+            trace.register("Nope", 1, v)
+        assert trace.classes() == []
 
     def test_trace_maps_visible_to_queries(self, hello_ext_schema):
         s = script(

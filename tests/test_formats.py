@@ -54,13 +54,13 @@ class TestLoadSchema:
             EdgeClass("Graph_ContainsEdges", "Graph_", "Edge_",
                       is_aggregation=True),
         ]
-        assert s.flat_attributes("Node") == {"name": AttrType.STRING}
+        assert s._attr_types["Node"] == {"name": AttrType.STRING}
 
     def test_inheritance_and_abstract(self):
         s = load_schema(corpus.read_text("graph1evo.gls"))
         assert s.vertex_class("GraphComponent").is_abstract
         assert s.conforms("Edge_", "GraphComponent")
-        assert list(s.flat_attributes("Node")) == ["text"]
+        assert list(s._attr_types["Node"]) == ["text"]
 
     def test_self_cycle_reported_with_position(self):
         with pytest.raises(ParseError, match="cycle"):

@@ -1,18 +1,24 @@
 """The statement-level `.glg` reader against the token-by-token oracle."""
 
 import random
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gretlite import formats
+from gretlite import corpus, formats
 from gretlite.errors import ParseError
 from gretlite.formats import load_graph, load_schema, save_graph
 from gretlite.values import quote_string
 
 import genutil
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 SCHEMA = load_schema(
     "schema t;\n"
@@ -117,6 +123,34 @@ def test_hand_spaced_graphs_load_like_the_oracle(text):
     assert save_graph(oracles.naive_load_graph(saved, SCHEMA)) == saved
 
 
+def _no_fault(*_):
+    raise AssertionError("a valid graph reached the fault locator")
+
+
+@settings(max_examples=100, deadline=None)
+@given(hand_spaced())
+@example('graph g conforms t; x : A { s = "a" // c"; } "\n , i = 1 };')
+@example('graph g conforms t; x : A { s = "// { } ;" };')
+def test_valid_graphs_never_reach_the_fault_locator(text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_fault", _no_fault)
+        graph = load_graph(text, SCHEMA)
+    assert save_graph(graph) == save_graph(
+        oracles.naive_load_graph(text, SCHEMA))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_inputs_never_reach_the_fault_locator(seed, monkeypatch):
+    monkeypatch.setattr(formats, "_fault", _no_fault)
+    graph1 = load_schema(corpus.read_text("graph1.gls"))
+    graph2 = load_schema(corpus.read_text("graph2.gls"))
+    for text, schema in (
+            (gen.write_sample(gen.sample(seed, 200, 20, 0.05)), graph1),
+            (gen.write_chain(gen.chain(seed, 50)), graph2)):
+        graph = load_graph(text, schema)
+        assert len(graph.vertices) + len(graph.edges) == text.count(";") - 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32))
 def test_canonical_graphs_load_like_the_oracle(seed):
@@ -197,6 +231,11 @@ SINGLE_FAULTS = [
     _HEAD + "e : E x -> y { w = \"x\" };",
     _HEAD + "z : A { d = 1e999 };",
     _HEAD + "z : Abs;",
+    # faults after the statement's element was made and an entry set
+    _HEAD + "z : A { i = 1, s = };",
+    _HEAD + "z : A { i = 1, s = 3 };",
+    _HEAD + "e : E x -> y { n = 1 w = true };",
+    _HEAD + "z : A { s = \"a\" // c\"; } \"\n , i = 1 ;",
 ]
 
 
@@ -267,3 +306,18 @@ def test_only_the_header_reaches_the_lexer(monkeypatch):
     loaded = load_graph(text, schema)
     assert save_graph(loaded) == text
     assert [s.strip() for s in seen] == [text.splitlines()[0]]
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("y" + "a" * 100_000 + " ;", "expected ':'"),
+    ("a:A{" * 25_000, "expected '='"),
+], ids=["long word", "many heads"])
+def test_a_fault_is_found_without_searching_past_it(fault, message):
+    """Each statement is matched where the last one ended, so the text of
+    a fault is read once; a search for the next statement from each of
+    its positions would take time quadratic in its length, minutes for
+    these inputs."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=message):
+        load_graph(_HEAD + fault, SCHEMA)
+    assert time.perf_counter() - start < 5

@@ -56,7 +56,7 @@ def test_attribute_less_elements_share_one_empty_store(bulk, graph1_schema):
         by_class.setdefault(el.class_name, []).append(el)
     for class_name, elements in by_class.items():
         stores = {id(el._attrs) for el in elements}
-        if graph1_schema.flat_attributes(class_name):
+        if graph1_schema._attr_types[class_name]:
             assert len(stores) == len(elements), class_name
         else:
             assert len(stores) == 1 and not elements[0]._attrs, class_name
@@ -66,9 +66,9 @@ def test_attribute_less_elements_share_one_empty_store(bulk, graph1_schema):
     bulk.delete_vertex(edge_vertex)
     with pytest.raises(GraphError, match="was deleted"):
         edge_vertex.set_attr("name", "x")
-    assert edge_vertex._attrs == {} and container.attr_names() == []
-    assert [el.attr_names() for el in by_class["Edge_"][1:]] == \
-        [[]] * (len(by_class["Edge_"]) - 1)
+    assert edge_vertex._attrs == {} and container._attrs == {}
+    assert [el._attrs for el in by_class["Edge_"][1:]] == \
+        [{}] * (len(by_class["Edge_"]) - 1)
 
 
 def test_class_names_are_the_schemas_own_strings(bulk, graph1_schema):

@@ -25,7 +25,7 @@ def make_schema():
 class TestSchema:
     def test_inherited_attributes_visible(self):
         s = make_schema()
-        assert list(s.flat_attributes("Node")) == ["text", "name"]
+        assert list(s._attr_types["Node"]) == ["text", "name"]
 
     def test_duplicate_class_name(self):
         s = make_schema()
@@ -56,7 +56,7 @@ class TestSchema:
         s.define_vertex_class("B", supertypes=["A"])
         s.define_vertex_class("C", supertypes=["A"])
         s.define_vertex_class("D", supertypes=["B", "C"])
-        assert list(s.flat_attributes("D")) == ["x"]
+        assert list(s._attr_types["D"]) == ["x"]
 
     def test_conflicting_inherited_attributes_rejected(self):
         s = Schema("t")
@@ -180,7 +180,7 @@ class TestAttributes:
         g = Graph(make_schema())
         first, second = g.create_vertex("Node"), g.create_vertex("Node")
         first.set_attr("name", "n1")
-        assert second.attr_names() == ["text", "name"]
+        assert list(second._attrs) == ["text", "name"]
         assert (second.attr("text"), second.attr("name")) == ("", "")
 
     def test_type_mismatch(self):
@@ -375,23 +375,23 @@ class TestTypeTests:
     def test_subtype_and_reflexive(self):
         g = Graph(make_schema())
         n = g.create_vertex("Node")
-        assert n.is_instance_of("GraphComponent")
-        assert n.is_instance_of("Node")
-        assert not n.is_instance_of("Edge_")
+        assert g.schema.conforms(n.class_name, "GraphComponent")
+        assert g.schema.conforms(n.class_name, "Node")
+        assert not g.schema.conforms(n.class_name, "Edge_")
 
     def test_unknown_class(self):
         g = Graph(make_schema())
         n = g.create_vertex("Node")
         with pytest.raises(SchemaError):
-            n.is_instance_of("Nope")
+            g.schema.conforms(n.class_name, "Nope")
 
     def test_cross_kind_is_false(self):
         g = Graph(make_schema())
         ev = g.create_vertex("Edge_")
         n = g.create_vertex("Node")
         e = g.create_edge("Edge_LinksToSrc", ev, n)
-        assert not e.is_instance_of("Node")
-        assert e.is_instance_of("Edge_LinksToSrc")
+        assert not g.schema.conforms(e.class_name, "Node")
+        assert g.schema.conforms(e.class_name, "Edge_LinksToSrc")
 
 
 class TestIncidence:
@@ -493,10 +493,10 @@ def test_random_op_sequences_keep_invariants(script):
     vertex_ids = sorted(v.id for v in g.vertices)
     assert len(set(vertex_ids)) == len(vertex_ids)
     for e in g.edges:
-        assert e.start.is_instance_of(
-            g.schema.edge_class(e.class_name).from_class)
-        assert e.end.is_instance_of(
-            g.schema.edge_class(e.class_name).to_class)
+        assert g.schema.conforms(
+            e.start.class_name, g.schema.edge_class(e.class_name).from_class)
+        assert g.schema.conforms(
+            e.end.class_name, g.schema.edge_class(e.class_name).to_class)
 
 
 @st.composite
