@@ -20,9 +20,10 @@ The statements are read by matching `_LEAN`, which takes whole
 statements only, each where the last one ended, and an attribute block's
 entries with `_ENTRY` the same way.  That reader builds no message: at a
 statement it cannot take it stops, and `_fault` reads that one statement
-with `_STATEMENT`, which shows how far it got, and raises.  So every
-error is a ParseError with the line and column of the offending token,
-and the first fault in file order is the one reported.
+token by token from a lazy scan of the lexer, as the schema parser reads
+its declarations, and raises.  So every error is a ParseError with the
+line and column of the offending token, and the first fault in file
+order is the one reported.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import re
 
 from gretlite import model
 from gretlite.errors import GraphError, ParseError, SchemaError
-from gretlite.lexer import (IDENT, NUMBER, STRING, Token, TokenStream, scan,
+from gretlite.lexer import (IDENT, NUMBER, STRING, TokenStream, scan,
                             string_value, tokenize)
 from gretlite.model import Vertex, VertexClass
 from gretlite.values import render_value
@@ -41,9 +42,9 @@ _ATTR_TYPES = {t.value: t for t in model.AttrType}
 # Each piece of the `.glg` patterns below matches exactly the lexer's
 # token: whitespace and whole `//` comments (a comment never gives back
 # characters), the lexer's identifier, number and string rules, and a
-# symbol only where the lexer would not read a longer one (':' but not
-# ':=', '-' but not '->' or '-->').  Each is compiled on first use, and
-# `_STATEMENT` only for a file with a fault.
+# symbol only where the lexer would not read a longer one ('-' but not
+# '->' or '-->').  A statement they do not take, `_fault` reads again
+# from the lexer's tokens.
 _S = r"\s*(?://.*(?!.)\s*)*"
 # groups: name, string, '-', number, boolean
 _ENTRY = (
@@ -60,21 +61,8 @@ _LEAN = (
     rf"(?:({IDENT}){_S}->{_S}({IDENT}){_S})?"
     rf"(?:\{{{_S}({_BLOCK})\}}{_S})?;{_S}"
 )
-# `_fault`'s pattern has every group optional after the first, so it
-# shows how far a statement got; it repeats `_ENTRY`, groups uncaptured.
-_ENTRIES = "(?:" + re.sub(r"\((?!\?)", "(?:", _ENTRY) + ")*"
-# groups: label, ':', class, start, '->', end, '{', entries, '}', ';'
-_STATEMENT = (
-    rf"({IDENT}){_S}(?:(:(?!=)){_S}(?:({IDENT}){_S}"
-    rf"(?:({IDENT}){_S}(?:(->){_S}(?:({IDENT}){_S})?)?)?"
-    rf"(?:(\{{){_S}({_ENTRIES})"
-    rf"(?:(\}}){_S})?)?"
-    rf"(?:(;){_S})?)?)?"
-)
 _HEADER = (rf"{_S}graph(?!\w){_S}{IDENT}{_S}conforms(?!\w){_S}{IDENT}{_S}"
            rf";{_S}")
-# groups: name, '=', '-'; reads a malformed entry as far as it goes
-_ENTRY_HEAD = rf"({IDENT}){_S}(?:(=){_S}(?:(-)(?!-?>){_S})?)?"
 
 
 def load_schema(text: str) -> model.Schema:
@@ -195,20 +183,17 @@ def load_graph(text: str, schema: model.Schema) -> model.Graph:
     pos = header.end()
     while (m := statement(text, pos)) is not None:
         label, class_name, start, end, block = m.groups()
-        cls = classes.get(class_name)
-        if cls is None or label in labels or not (
-                label[0].isalpha() or label[0] == "_"):
+        if label in labels or not (label[0].isalpha() or label[0] == "_"):
             break
         try:
-            if type(cls) is VertexClass:
+            # an unknown class or an endpoint that is no vertex raises
+            if type(classes.get(class_name)) is VertexClass:
                 if start is not None:
                     break
                 element = create_vertex(class_name)
             else:
-                tail, head = labels.get(start), labels.get(end)
-                if type(tail) is not Vertex or type(head) is not Vertex:
-                    break
-                element = create_edge(class_name, tail, head)
+                element = create_edge(class_name, labels.get(start),
+                                      labels.get(end))
             if block is not None:
                 at, block_end = m.span(5)
                 while (e := entry(text, at, block_end)) is not None:
@@ -227,66 +212,67 @@ def load_graph(text: str, schema: model.Schema) -> model.Graph:
 
 def _fault(text: str, pos: int, graph: model.Graph, labels):
     """Raise the error of the statement at `pos`, which `load_graph` did
-    not take, given the `labels` declared before it."""
-    m = re.compile(_STATEMENT).match(text, pos)
-    if m is None:
-        _expected(text, pos, "identifier")
-    label, colon, class_name, start, arrow, end, brace, _, close, semi = \
-        m.groups()
-    # a label the lexer rejects ('²x') fails as `_invalid` lexes it
-    if not (label[0].isalpha() or label[0] == "_") or label in labels:
-        _invalid(text, pos, f"duplicate element id '{label}'")
-    if colon is None:
-        _expected(text, m.end(1), "':'")
-    if class_name is None:
-        _expected(text, m.end(2), "identifier")
-    cls = graph.schema._classes.get(class_name)
+    not take, given the `labels` declared before it.  The scan is lazy,
+    so a lexical fault after the statement's first fault is never read."""
+    ts = TokenStream(scan(text, pos))
+    label = ts.expect_ident()
+    if label.text in labels:
+        raise ParseError(f"duplicate element id '{label.text}'",
+                         label.line, label.column)
+    ts.expect_symbol(":")
+    class_tok = ts.expect_ident()
+    cls = graph.schema._classes.get(class_tok.text)
     if cls is None:
-        _invalid(text, m.start(3), f"unknown class '{class_name}'")
+        raise ParseError(f"unknown class '{class_tok.text}'",
+                         class_tok.line, class_tok.column)
     try:
         if type(cls) is VertexClass:
-            element = graph.create_vertex(class_name)
-            if start is not None:
-                _expected(text, m.start(4), "';'")
+            element = graph.create_vertex(cls.name)
         else:
-            if start is None:
-                _expected(text, m.end(3), "identifier")
-            tail = _vertex(text, m, 4, labels)
-            if arrow is None:
-                _expected(text, m.end(4), "'->'")
-            if end is None:
-                _expected(text, m.end(5), "identifier")
-            element = graph.create_edge(class_name, tail,
-                                        _vertex(text, m, 6, labels))
+            tail = _vertex(ts, labels)
+            ts.expect_symbol("->")
+            element = graph.create_edge(cls.name, tail, _vertex(ts, labels))
     except GraphError as exc:
-        _invalid(text, m.start(3), str(exc))
-    if brace is not None:
-        for e in re.compile(_ENTRY).finditer(text, m.start(8), m.end(8)):
+        raise ParseError(str(exc), class_tok.line, class_tok.column) from None
+    if ts.at_symbol("{"):
+        ts.next()
+        while not ts.at_symbol("}"):
+            name = ts.expect_ident()
+            ts.expect_symbol("=")
             try:
-                value = _value(e)
-            except ValueError:  # the lexer reports the over-long literal
-                _invalid(text, e.start(4), "number literal too long")
-            try:
-                element.set_attr(e[1], value)
+                element.set_attr(name.text, _literal(ts))
             except (GraphError, SchemaError) as exc:
-                _invalid(text, e.start(), str(exc))
-        if close is None:
-            _entry_fault(text, m.end(8))
-    if semi is None:
-        _expected(text, m.end(), "';'")
+                raise ParseError(str(exc), name.line, name.column) from None
+            if ts.at_symbol(","):
+                ts.next()
+        ts.next()
+    ts.expect_symbol(";")
     raise AssertionError(f"no fault in the statement at offset {pos}")
 
 
-def _vertex(text: str, m: re.Match, group: int, labels) -> Vertex:
-    name = m[group]
-    element = labels.get(name)
+def _vertex(ts: TokenStream, labels) -> Vertex:
+    tok = ts.expect_ident()
+    element = labels.get(tok.text)
     if element is None:
-        _invalid(text, m.start(group),
-                 f"edge references undeclared element '{name}'")
+        raise ParseError(f"edge references undeclared element '{tok.text}'",
+                         tok.line, tok.column)
     if not isinstance(element, Vertex):
-        _invalid(text, m.start(group),
-                 f"edge endpoint '{name}' is not a vertex")
+        raise ParseError(f"edge endpoint '{tok.text}' is not a vertex",
+                         tok.line, tok.column)
     return element
+
+
+def _literal(ts: TokenStream):
+    if ts.at_symbol("-"):
+        ts.next()
+        if ts.peek().kind != "NUMBER":
+            ts.error("expected a number after '-'")
+        return -ts.next().value
+    if ts.at_ident("true", "false"):
+        return ts.next().text == "true"
+    if ts.peek().kind not in ("NUMBER", "STRING"):
+        ts.error("expected a literal")
+    return ts.next().value
 
 
 def _value(e: re.Match):
@@ -298,33 +284,6 @@ def _value(e: re.Match):
         return boolean == "true"
     value = int(number) if number.isdecimal() else float(number)
     return value if minus is None else -value
-
-
-def _entry_fault(text: str, pos: int):
-    """Raise for the malformed attribute entry, or the missing '}', at
-    `pos`."""
-    e = re.compile(_ENTRY_HEAD).match(text, pos)
-    if e is None:
-        _expected(text, pos, "identifier")
-    if e[2] is None:
-        _expected(text, e.end(1), "'='")
-    _expected(text, e.end(),
-              "a literal" if e[3] is None else "a number after '-'")
-
-
-def _token_at(text: str, pos: int) -> Token:
-    """The token at `pos`, after any whitespace; the lexer raises its own
-    error if that token is malformed."""
-    return next(scan(text, re.compile(_S).match(text, pos).end()))
-
-
-def _expected(text: str, pos: int, what: str):
-    TokenStream([_token_at(text, pos)]).error(f"expected {what}")
-
-
-def _invalid(text: str, pos: int, message: str):
-    tok = _token_at(text, pos)
-    raise ParseError(message, tok.line, tok.column)
 
 
 def save_graph(graph: model.Graph) -> str:

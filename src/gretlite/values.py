@@ -129,14 +129,8 @@ class ValueMap:
     def keys(self):
         return [k for k, _ in self._items.values()]
 
-    def values(self):
-        return [v for _, v in self._items.values()]
-
     def items(self):
         return list(self._items.values())
-
-    def __iter__(self):
-        return iter(self.keys())
 
     def __len__(self):
         return len(self._items)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gretlite import corpus
+from gretlite import cli, corpus
 from gretlite.cli import main
 
 import oracles
@@ -84,6 +84,19 @@ def test_parse_error_is_a_user_error(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unexpected_exception_is_an_internal_error(workdir, capsys,
+                                                   monkeypatch):
+    def broken(args, read):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_query", broken)
+    code = main(["query", str(workdir / "graph1.gls"),
+                 str(workdir / "sample1.glg"),
+                 str(workdir / "04-count-nodes.grq")])
+    assert code == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
+
+
 def test_transform_writes_output(workdir, capsys):
     out = workdir / "out.glg"
     code = main(["transform", str(workdir / "01-create-greeting.grt"),
@@ -156,6 +169,19 @@ def test_in_place_requires_source(workdir, capsys):
                  "--out", str(workdir / "out.glg")])
     assert code == 1
     assert "--source" in capsys.readouterr().err
+
+
+def test_source_schema_conflicts_with_in_place(workdir, capsys):
+    out = workdir / "out.glg"
+    code = main(["transform", str(workdir / "09-reverse-edges.grt"),
+                 str(workdir / "graph1.gls"),
+                 "--source", str(workdir / "sample1.glg"),
+                 "--source-schema", str(workdir / "graph1.gls"), "--in-place",
+                 "--out", str(out)])
+    assert code == 1
+    assert "--source-schema conflicts with --in-place" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_in_place_transform(workdir):

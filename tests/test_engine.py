@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gretlite import corpus
 from gretlite.errors import SchemaError, TransformError
-from gretlite.formats import load_graph, save_graph
+from gretlite.formats import load_graph, load_schema, save_graph
 from gretlite.model import Graph, Schema
 from gretlite.transform import TraceabilityMap, engine, execute, parse_script
 from gretlite.values import UNDEFINED, OrderedSet
@@ -212,6 +212,15 @@ class TestCreateSubgraph:
         run = execute(s, target_schema=hello_ext_schema)
         assert run.trace.image("GreetingContainsPerson", 1) is run.graph.edges[0]
 
+    def test_edge_attribute_assignments(self):
+        schema = load_schema("schema s;\nvertexclass N;\n"
+                             "edgeclass L from N to N { w: Double, k: Integer };")
+        s = script("CreateSubgraph (a : N | arch = $)"
+                   " -->{L | arch = $, w = 2.5, k = $ + 1}"
+                   " (b : N | arch = tup($, 2)) <== set(1);")
+        (edge,) = execute(s, target_schema=schema).graph.edges
+        assert (edge.attr("w"), edge.attr("k")) == (2.5, 2)
+
 
 def one_conceptual_edge(schema):
     g = Graph(schema)
@@ -290,6 +299,20 @@ class TestMatchReplace:
         with pytest.raises(TransformError, match="graph element"):
             execute(s, sample1, in_place=True)
 
+    @pytest.mark.parametrize("template, message", [
+        # the match's Edge_ vertex is deleted, and its edge with it
+        ("(b := $[1])", "preserved element 'b' was deleted by a cascade"),
+        ("(a := $[0]) -->{Edge_LinksToSrc} (b := $[1])",
+         "template edge endpoint 'b' is not a vertex"),
+    ], ids=["cascade", "edge-endpoint"])
+    def test_preserved_edge_faults(self, graph1_schema, template, message):
+        g, n1, n2, ev = one_conceptual_edge(graph1_schema)
+        s = script(f"MatchReplace {template} <== from s : E{{Edge_LinksToSrc}}"
+                   " reportSet tup(startVertex(s), s) end;")
+        with pytest.raises(TransformError) as info:
+            execute(s, g, in_place=True)
+        assert str(info.value) == f"op 1: {message} (line 2)"
+
     def test_requires_in_place(self, graph1_schema, sample1):
         s = script("MatchReplace (a := $[0]) <== set();")
         with pytest.raises(TransformError, match="in-place"):
@@ -352,6 +375,11 @@ class TestDelete:
     def test_non_element_rejected(self, graph1_schema, sample1):
         with pytest.raises(TransformError, match="graph elements only"):
             execute(script("Delete set(1);"), sample1, in_place=True)
+
+    def test_non_collection_rejected(self, graph1_schema, sample1):
+        with pytest.raises(TransformError,
+                           match="expects its query to yield a collection"):
+            execute(script("Delete 1;"), sample1, in_place=True)
 
     def test_requires_in_place(self, graph1_schema, sample1):
         with pytest.raises(TransformError, match="in-place"):

@@ -73,6 +73,26 @@ class TestLoadSchema:
         )
         assert s.edge_class("E").from_class == "A"
 
+    def test_several_supertypes(self):
+        s = load_schema("schema s;\nvertexclass B { b: Integer };\n"
+                        "vertexclass C { c: String };\n"
+                        "vertexclass D : B, C;")
+        assert s.vertex_class("D").supertypes == ("B", "C")
+        assert list(s._attr_types["D"]) == ["b", "c"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("aggregation vertexclass A;",
+         "'aggregation' applies to edge classes only, found 'vertexclass'"),
+        ("vertexclass A;\nedgeclass E from A (x,1) to A;",
+         "expected a multiplicity lower bound, found 'x'"),
+        ("vertexclass A;\nedgeclass E from A (0,x) to A;",
+         "expected a multiplicity upper bound, found 'x'"),
+    ], ids=["aggregation-vertexclass", "lower-bound", "upper-bound"])
+    def test_declaration_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
+            load_schema("schema s;\n" + text)
+        assert str(err.value).startswith(message + " (line ")
+
     def test_unknown_attribute_type(self):
         with pytest.raises(ParseError, match="unknown attribute type"):
             load_schema("schema s;\nvertexclass A { x: Float };")

@@ -281,7 +281,16 @@ def test_mutated_graphs_fail_at_the_first_fault(text, data):
      "unterminated string literal (line 5, column 13)"),
     ("grph ²x conforms t;", "expected graph, found 'grph' (line 1, column 1)",
      "unexpected character '²' (line 1, column 6)"),
-], ids=["element", "header"])
+    # within one statement, the tokens after its first fault are not read
+    (_HEAD + "z : A { i = yes \"x };",
+     "expected a literal, found 'yes' (line 4, column 13)",
+     "unterminated string literal (line 4, column 17)"),
+    (_HEAD + "z : Widget \"x;", "unknown class 'Widget' (line 4, column 5)",
+     "unterminated string literal (line 4, column 12)"),
+    (_HEAD + "e : E x -> nowhere ²;",
+     "edge references undeclared element 'nowhere' (line 4, column 12)",
+     "unexpected character '²' (line 4, column 20)"),
+], ids=["element", "header", "literal", "class", "endpoint"])
 def test_first_fault_in_file_order_wins(text, first, oracle):
     assert _error(load_graph, text)[0] == first
     assert _error(oracles.naive_load_graph, text)[0] == oracle

@@ -65,6 +65,12 @@ class TestSchema:
         with pytest.raises(SchemaError, match="inherits attribute 'x'"):
             s.define_vertex_class("C", supertypes=["A", "B"])
 
+    def test_attribute_type_must_be_an_attr_type(self):
+        s = Schema("t")
+        with pytest.raises(SchemaError) as info:
+            s.define_vertex_class("A", attributes=[("x", "String")])
+        assert str(info.value) == "attribute 'x' of 'A' has no valid type"
+
     def test_unknown_endpoint_class(self):
         s = Schema("t")
         s.define_vertex_class("A")
@@ -251,7 +257,10 @@ def error_table_fixture():
     g.delete_vertex(x["dead"])
     g.delete_vertex(x["dead_ev"])
     g.delete_edge(x["dead_e"])
-    x["foreign"] = Graph(s).create_vertex("Node")
+    foreign = Graph(s)
+    x["foreign"] = foreign.create_vertex("Node")
+    x["foreign_e"] = foreign.create_edge(
+        "Edge_LinksToSrc", foreign.create_vertex("Edge_"), x["foreign"])
     return g, x
 
 
@@ -268,7 +277,8 @@ NOT_A_VERTEX = "edge endpoint is not a vertex of this graph"
 
 # id -> (operation, exception type, full message); `x` names the fixture's
 # elements: v1 Edge_, v2 Node, v3 Measure, v4 deleted Node, v5 deleted
-# Edge_, e1 a live edge, e2 a deleted one, and a vertex of another graph
+# Edge_, e1 a live edge, e2 a deleted one, and a vertex and an edge of
+# another graph
 ERROR_TABLE = {
     "vertex-unknown-class": (lambda g, x: g.create_vertex("Nope"),
                              SchemaError, "unknown class 'Nope'"),
@@ -326,6 +336,12 @@ ERROR_TABLE = {
     "set-integer-too-large-for-double": (
         _write("m", "weight", 10 ** 400), GraphError,
         "attribute 'weight' rejects non-finite value"),
+    "delete-vertex-of-another-graph": (
+        lambda g, x: g.delete_vertex(x["foreign"]), GraphError,
+        "not a vertex of this graph"),
+    "delete-edge-of-another-graph": (
+        lambda g, x: g.delete_edge(x["foreign_e"]), GraphError,
+        "not an edge of this graph"),
     "set-deleted-vertex": (_write("dead", "name", "x"), GraphError,
                            "element v4 was deleted"),
     "set-deleted-edge": (_write("dead_e", "nosuch", 1), GraphError,

@@ -55,6 +55,10 @@ class TestLiteralsAndOperators:
     def test_undefined_propagates_through_arithmetic(self, empty):
         assert run_query("1 + undefined", empty) is UNDEFINED
         assert run_query("not undefined", empty) is UNDEFINED
+        assert run_query("undefined.name", empty) is UNDEFINED
+        assert run_query("undefined[0]", empty) is UNDEFINED
+        # inf - inf
+        assert run_query("1e308 * 10.0 - 1e308 * 10.0", empty) is UNDEFINED
 
     def test_three_valued_logic(self, empty):
         assert run_query("false and undefined", empty) is False
@@ -245,6 +249,34 @@ class TestAttributeAccess:
     def test_non_element_target(self, empty):
         with pytest.raises(QueryError, match="graph element"):
             run_query("x.name", empty, {"x": 3})
+
+
+# query -> the whole message of the QueryError it raises on sample1
+EVALUATION_ERRORS = {
+    "$": "'$' is not bound here",
+    "degree(1)": "degree expects a vertex",
+    "degree{Edge_LinksToSrc}(1, 2)":
+        "function 'degree' called with 2 arguments",
+    '-"a"': "unary '-' expects a number",
+    "not 1": "'not' expects a boolean",
+    '"a" - 1': "'-' expects numbers",
+    "1.5 % 2": "'%' expects integers",
+    "1[0]": "indexing applies to tuples and lists",
+    "list(1)[0.5]": "index must be an integer",
+    "theElement(1)": "theElement expects a collection",
+    "contains(1, 1)": "contains expects a collection",
+    "keySet(1)": "keySet expects a map",
+    "flatten(1)": "flatten expects a collection",
+    'hasType(1, "Node")': "hasType expects a graph element",
+    "hasType(theElement(V{Graph_}), 1)": "hasType expects a class name string",
+}
+
+
+@pytest.mark.parametrize("query", EVALUATION_ERRORS)
+def test_evaluation_errors_are_exact(sample1, query):
+    with pytest.raises(QueryError) as info:
+        run_query(query, sample1)
+    assert str(info.value) == EVALUATION_ERRORS[query]
 
 
 def test_greeting_query_end_to_end(hello_ext_schema):

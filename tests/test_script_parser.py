@@ -34,6 +34,11 @@ def test_empty_iteratively_block():
         parse_script("transformation T;\nIteratively { }")
 
 
+def test_unterminated_iteratively_block():
+    with pytest.raises(ParseError, match="unterminated Iteratively block"):
+        parse_script("transformation T;\nIteratively { Delete set();")
+
+
 def test_nested_iteratively():
     t = parse_script(
         "transformation T;\n"
