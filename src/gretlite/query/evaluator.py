@@ -1,8 +1,9 @@
 """Evaluator for the query language.
 
-A `Query` is an expression compiled into nested closures, one per node,
-each a function from a row to the node's value (Feeley & Lapalme 1987);
-`evaluate` runs one.  A script compiles each expression once per op.
+A `Query` is an expression planned whole (`gretlite.query.planner`), then
+compiled into nested closures, one per node, each a function from a row
+to the node's value (Feeley & Lapalme 1987); `evaluate` runs one.  A
+script compiles each expression once per op.
 
 * A row (`Bindings`) is a tuple: the values of the names the query was
   compiled with (`evaluate`'s bindings, a template's `$`), then one per
@@ -12,9 +13,9 @@ each a function from a row to the node's value (Feeley & Lapalme 1987);
 * A builtin gets its arguments' values straight.  An unknown function
   or class, a wrong arity or a needless qualifier raises when evaluated.
 * An operator chain is combined from the leftmost operand up, without
-  recursion.  A comprehension runs its plan (`gretlite.query.planner`),
-  whose joins and semi-joins bind a level's hits, in domain order, from a
-  position index over its domain.
+  recursion.  A comprehension runs its plan, whose joins and semi-joins
+  bind a level's hits, in domain order, from a position index over its
+  domain.
 
 Each piece of work is done once per evaluation and key.  A path or
 comprehension in a loop that mentions, of the comprehension variables in
@@ -183,22 +184,19 @@ class Query:
     order; `outer` maps any other free name to a function of no arguments
     returning its value, or to None.  `run` maps a row to the value."""
 
-    __slots__ = ("graph", "root", "names", "outer", "planner", "shared",
-                 "tables", "run")
+    __slots__ = ("graph", "names", "outer", "planner", "shared", "tables",
+                 "run")
 
     def __init__(self, root, graph: model.Graph, names=(), outer=None):
-        self.graph, self.root, self.outer = graph, root, outer
+        self.graph, self.outer, self.planner = graph, outer, Planner(root)
         self.names = {name: slot for slot, name in enumerate(names)}
-        self.planner: Planner | None = None  # made at the first comprehension
         self.shared, self.tables = {}, []  # (shape, key) -> (table, fn)
         self.run = self.compile(root, ({}, len(names), _NONE, None))
 
     def compile(self, node, at):
         """A function from a row to `node`'s value where `at` says: (slots
         in scope by name, row length, its level's name, memo key or None)."""
-        if self.planner is None and isinstance(node, n.Comprehension):
-            self.planner = Planner(self.root)
-        key = self.planner and self.memo_key(node, at)
+        key = self.memo_key(node, at)
         if key is not None:  # compiled once, on a row of its own
             root, slot = len(self.names), (self.planner.shape[id(node)], key)
             if slot not in self.shared:
@@ -283,7 +281,7 @@ class Query:
         variable or its memo's key computes, what occurs once outside
         every loop, and any keyed but a path or comprehension."""
         planner = self.planner
-        if planner is None or isinstance(node, _UNMEMOISED):
+        if isinstance(node, _UNMEMOISED):
             return None
         scope, _, fresh, held = at
         key = tuple(sorted(planner.free[id(node)].intersection(scope)))

@@ -4,7 +4,9 @@ The grammar is the one this module implements: `QueryParser` has one
 method per precedence level (listed above `parse_expression`), tokens come
 from `gretlite.lexer`, and the AST node types are in `gretlite.query.nodes`.
 The parser works on a shared TokenStream so transformation scripts can
-embed queries directly.
+embed queries directly.  Scope is checked at each identifier: a group's
+names are bound from the end of its domain to its comprehension's `end`,
+and any other name that is not external is a ParseError at it.
 
 Nesting is bounded: every nested expression, prefix operator and postfix
 operator counts one level, and an expression deeper than MAX_DEPTH is a
@@ -41,9 +43,11 @@ _PATH_ARROWS = {"-->": "out", "<--": "in", "<->": "both", "<>--": "agg"}
 
 
 class QueryParser:
-    def __init__(self, stream: TokenStream):
+    def __init__(self, stream: TokenStream, is_external):
         self.ts = stream
         self._depth = 0
+        self._external = is_external
+        self._bound: list[str] = []  # declared by the comprehensions around
 
     def _nest(self):
         self._depth += 1
@@ -212,6 +216,8 @@ class QueryParser:
             self.ts.next()
             args = self._arguments()
             return n.Call(word, None, args)
+        if word not in self._bound and not self._external(word):
+            raise ParseError(f"unbound variable '{word}'", tok.line, tok.column)
         return n.VarRef(word)
 
     def _arguments(self) -> tuple:
@@ -243,6 +249,7 @@ class QueryParser:
 
     def _comprehension(self):
         self.ts.expect_ident("from")
+        outer = len(self._bound)
         groups = [self._decl_group()]
         while self.ts.at_symbol(","):
             self.ts.next()
@@ -267,6 +274,7 @@ class QueryParser:
                 exprs.append(self.parse_expression())
             exprs, value_expr = tuple(exprs), None
         self.ts.expect_ident("end")
+        del self._bound[outer:]
         return n.Comprehension(tuple(groups), condition, kind, exprs, value_expr)
 
     def _decl_group(self) -> n.DeclGroup:
@@ -282,6 +290,7 @@ class QueryParser:
             names.append(self._decl_name())
         self.ts.expect_symbol(":")
         domain = self.parse_expression()
+        self._bound += names
         return n.DeclGroup(tuple(names), domain)
 
     def _decl_name(self) -> str:
@@ -294,32 +303,6 @@ class QueryParser:
         return tok.text
 
 
-def check_bindings(expr, is_external):
-    """Static scoping check: flag variable references bound by nothing.
-
-    Walks the tree in source order with an explicit stack, so the first
-    unbound reference is the one reported and long operator chains cannot
-    exhaust the interpreter's stack.
-    """
-    stack = [(expr, frozenset())]
-    while stack:
-        node, scope = stack.pop()
-        parts = n.children(node)
-        if isinstance(node, n.VarRef):
-            name = node.name
-            if name not in scope and not is_external(name):
-                raise ParseError(f"unbound variable '{name}'")
-        elif isinstance(node, n.Comprehension):
-            scoped = []
-            for group, domain in zip(node.decls, parts):
-                scoped.append((domain, scope))
-                scope = scope | frozenset(group.names)
-            scoped.extend((part, scope) for part in parts[len(node.decls):])
-            stack.extend(reversed(scoped))
-        else:
-            stack.extend((part, scope) for part in reversed(parts))
-
-
 def _trace_external(name: str) -> bool:
     return name.startswith("img_") or name.startswith("arch_")
 
@@ -327,15 +310,13 @@ def _trace_external(name: str) -> bool:
 def parse_embedded(stream: TokenStream):
     """Parse one expression from a shared stream (used by script parsing);
     `img_T` and `arch_T` names are bound by the script's trace."""
-    expr = QueryParser(stream).parse_expression()
-    check_bindings(expr, _trace_external)
-    return expr
+    return QueryParser(stream, _trace_external).parse_expression()
 
 
 def parse_query(text: str, *, extra_names=()):
     """Parse a complete query; raises ParseError with position on failure."""
     stream = TokenStream(tokenize(text))
-    expr = QueryParser(stream).parse_expression()
+    expr = QueryParser(
+        stream, frozenset(extra_names).__contains__).parse_expression()
     stream.expect_eof()
-    check_bindings(expr, frozenset(extra_names).__contains__)
     return expr

@@ -5,9 +5,10 @@ in-place runs rewrite the source graph itself.  Every element created for
 an archetype is recorded in a TraceabilityMap, and queries evaluated
 during execution see those maps as `img_T` / `arch_T` bindings.
 
-One ExecutionResult is the record of a run: the source and target graphs,
-the trace, the mode, the count each top-level op reports and the
-applied/skipped counts of every MatchReplace invocation.  Its `eval`
+One ExecutionResult is the record of a run: the source and target graphs
+(the same graph when the run is in place), the trace, the count each
+top-level op reports and the applied/skipped counts of every MatchReplace
+invocation.  Its `eval`
 evaluates an op's expression on the source, compiled once per op.
 
 CreateSubgraph and MatchReplace instantiate a template the same way.
@@ -131,11 +132,10 @@ class ExecutionResult:
     """What a run did, and the state its ops read and write."""
 
     def __init__(self, source: model.Graph, graph: model.Graph,
-                 trace: TraceabilityMap, in_place: bool):
+                 trace: TraceabilityMap):
         self.source = source
         self.graph = graph
         self.trace = trace
-        self.in_place = in_place
         self.op_counts: list[tuple[str, int]] = []
         self.match_invocations: list[MatchReplaceStats] = []
         self._queries: dict = {}  # id(expression) -> its compiled Query
@@ -181,8 +181,7 @@ def execute(transformation: ops.Transformation,
         source = source_graph
         if source is None:
             source = model.Graph(target_schema, name="empty")
-    ctx = ExecutionResult(source, target, TraceabilityMap(target.schema),
-                          in_place)
+    ctx = ExecutionResult(source, target, TraceabilityMap(target.schema))
     for index, (op, line) in enumerate(
             zip(transformation.ops, transformation.lines), start=1):
         try:
@@ -297,7 +296,7 @@ def _instantiate(ctx, template: ops.Template, aliases: dict, dollar):
 
 
 def _match_replace(ctx, op: ops.MatchReplace) -> int:
-    if not ctx.in_place:
+    if ctx.graph is not ctx.source:
         raise TransformError("MatchReplace requires in-place execution")
     matches = _require_set(ctx.eval(op.query), "MatchReplace")
     touched: set[model.Element] = set()
@@ -335,7 +334,7 @@ def _match_replace(ctx, op: ops.MatchReplace) -> int:
 
 
 def _delete(ctx, op: ops.Delete) -> int:
-    if not ctx.in_place:
+    if ctx.graph is not ctx.source:
         raise TransformError("Delete requires in-place execution")
     value = ctx.eval(op.query)
     if not is_collection(value):
@@ -364,7 +363,7 @@ def _delete_all(ctx, elements) -> list[model.Element]:
 
 
 def _iteratively(ctx, op: ops.Iteratively) -> int:
-    if not ctx.in_place:
+    if ctx.graph is not ctx.source:
         raise TransformError("Iteratively requires in-place execution")
     rounds = 0
     while True:

@@ -90,7 +90,6 @@ def _query_after_arrow(ts: TokenStream):
 class _TemplateParser:
     def __init__(self, ts: TokenStream):
         self.ts = ts
-        self.vertices: list[ops.TemplateVertex] = []
         self.edges: list[ops.TemplateEdge] = []
         self.aliases: dict[str, ops.TemplateVertex] = {}
 
@@ -99,7 +98,7 @@ class _TemplateParser:
         while self.ts.at_symbol(","):
             self.ts.next()
             self._chain()
-        return ops.Template(tuple(self.vertices), tuple(self.edges))
+        return ops.Template(tuple(self.aliases.values()), tuple(self.edges))
 
     def _chain(self):
         left = self._endpoint()
@@ -115,17 +114,16 @@ class _TemplateParser:
     def _endpoint(self) -> str:
         if self.ts.at_symbol("("):
             self.ts.next()
-            alias = self.ts.expect_ident().text
+            tok = self.ts.expect_ident()
             if self.ts.at_symbol(")"):
                 self.ts.next()
-                return self._known(alias)
+                return self._known(tok)
             if self.ts.at_symbol(":="):
                 self.ts.next()
                 ref = parse_embedded(self.ts)
                 assigns = self._assigns()
                 self.ts.expect_symbol(")")
-                self._declare(ops.TemplateVertex(alias, ref=ref, assigns=assigns))
-                return alias
+                return self._declare(tok, ref=ref, assigns=assigns)
             self.ts.expect_symbol(":")
             class_name = self.ts.expect_ident().text
             self.ts.expect_symbol("|")
@@ -134,12 +132,9 @@ class _TemplateParser:
             arch = parse_embedded(self.ts)
             assigns = self._assigns()
             self.ts.expect_symbol(")")
-            self._declare(
-                ops.TemplateVertex(alias, class_name=class_name, arch=arch,
-                                   assigns=assigns)
-            )
-            return alias
-        return self._known(self.ts.expect_ident().text)
+            return self._declare(tok, class_name=class_name, arch=arch,
+                                 assigns=assigns)
+        return self._known(self.ts.expect_ident())
 
     def _arrow_body(self):
         self.ts.expect_symbol("{")
@@ -163,22 +158,22 @@ class _TemplateParser:
             assigns.append((name, parse_embedded(self.ts)))
         return tuple(assigns)
 
-    def _declare(self, vertex: ops.TemplateVertex):
-        if vertex.alias in self.aliases:
-            tok = self.ts.peek()
+    def _declare(self, tok, **fields) -> str:
+        """Declare the alias the token `tok` names, for a vertex of `fields`."""
+        if tok.text in self.aliases:
             raise ParseError(
-                f"duplicate template alias '{vertex.alias}'", tok.line, tok.column
+                f"duplicate template alias '{tok.text}'", tok.line, tok.column
             )
-        self.aliases[vertex.alias] = vertex
-        self.vertices.append(vertex)
+        self.aliases[tok.text] = ops.TemplateVertex(tok.text, **fields)
+        return tok.text
 
-    def _known(self, alias: str) -> str:
-        if alias not in self.aliases:
-            tok = self.ts.peek()
+    def _known(self, tok) -> str:
+        """The alias the token `tok` names, which must be declared."""
+        if tok.text not in self.aliases:
             raise ParseError(
-                f"unknown template alias '{alias}'", tok.line, tok.column
+                f"unknown template alias '{tok.text}'", tok.line, tok.column
             )
-        return alias
+        return tok.text
 
 
 def _template(ts: TokenStream) -> ops.Template:

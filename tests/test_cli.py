@@ -457,7 +457,8 @@ def test_corpus_compares_exactly_the_golden_files():
     assert compared == {entry.name for entry in golden.iterdir()}
 
 
-def test_corrupted_golden_fails_with_diff(tmp_path):
+def _copied_corpus(tmp_path):
+    """A copy of the packaged corpus, goldens included, under `tmp_path`."""
     root = tmp_path / "corpus"
     root.mkdir()
     source = corpus.default_root()
@@ -467,6 +468,11 @@ def test_corrupted_golden_fails_with_diff(tmp_path):
     (root / "golden").mkdir()
     for entry in (source / "golden").iterdir():
         shutil.copy(str(entry), root / "golden" / entry.name)
+    return root
+
+
+def test_corrupted_golden_fails_with_diff(tmp_path):
+    root = _copied_corpus(tmp_path)
     golden = root / "golden" / "04-out.txt"
     golden.write_text("7\n", encoding="utf-8")
     results = corpus.run_corpus(root=root)
@@ -474,6 +480,23 @@ def test_corrupted_golden_fails_with_diff(tmp_path):
     assert not by_number[4].passed
     assert "line 1" in by_number[4].failure
     assert all(r.passed for n, r in by_number.items() if n != 4)
+
+
+@pytest.mark.parametrize("corrupt, number, failure", [
+    # the golden without its last newline: every line still matches
+    (lambda root: (root / "golden" / "04-out.txt").write_text(
+        "6", encoding="utf-8"), 4, "04-out.txt differs in trailing whitespace"),
+    # a task whose command raises is a failed task, the others still run
+    (lambda root: (root / "chain4.glg").unlink(), 14, "error: "),
+], ids=["trailing-whitespace", "missing-fixture"])
+def test_corrupted_copy_fails_with_its_report(tmp_path, corrupt, number,
+                                              failure):
+    root = _copied_corpus(tmp_path)
+    corrupt(root)
+    by_number = {r.number: r for r in corpus.run_corpus(root=root)}
+    assert not by_number[number].passed
+    assert by_number[number].failure.startswith(failure)
+    assert all(r.passed for n, r in by_number.items() if n != number)
 
 
 def _query(workdir, text):
@@ -488,6 +511,12 @@ def test_deeply_nested_query_is_a_parse_error(workdir, capsys):
     err = capsys.readouterr().err
     assert "nested more than 50 levels deep" in err
     assert "(line 1, column 51)" in err
+
+
+def test_unbound_variable_is_a_user_error_with_its_position(workdir, capsys):
+    assert _query(workdir, "from x : V with y = 1 report x end") == 1
+    assert capsys.readouterr().err == (
+        "error: unbound variable 'y' (line 1, column 17)\n")
 
 
 def test_deeply_nested_iteratively_is_a_parse_error(workdir, capsys):

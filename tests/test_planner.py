@@ -391,6 +391,24 @@ def test_circle_of_three_binds_fewer_rows_than_the_cross_product(
     assert counts == {"bindings": 13, "paths": 12}
 
 
+def test_sharing_does_not_wait_for_the_first_comprehension(
+        sample1, monkeypatch):
+    paths = []
+    eval_path = ev.eval_path
+
+    def counting_eval_path(*args):
+        paths.append(args[1])
+        return eval_path(*args)
+
+    monkeypatch.setattr(ev, "eval_path", counting_eval_path)
+    # the closed path comes first outside the loop, then in its check
+    closed = "count(theElement(V{Graph_}) -->)"
+    result = run_query(f"tup({closed}, from x : V{{Node}} with {closed} > 0 "
+                       "report x end)", sample1)
+    assert result[0] > 0 and len(result[1]) == 6
+    assert len(paths) == 1
+
+
 def test_long_and_deep_queries_still_evaluate(sample1):
     # shapes are computed without recursion, and a memo adds at most a
     # frame per nesting level: a 5000-term chain in a loop, and 24

@@ -269,6 +269,9 @@ EVALUATION_ERRORS = {
     "flatten(1)": "flatten expects a collection",
     'hasType(1, "Node")': "hasType expects a graph element",
     "hasType(theElement(V{Graph_}), 1)": "hasType expects a class name string",
+    # a call of 0 or 3 arguments takes `_applied`'s general case
+    "count()": "function 'count' called with 0 arguments",
+    "count(1, 2, 3)": "function 'count' called with 3 arguments",
 }
 
 

@@ -49,6 +49,18 @@ def test_unbound_variable_is_static_error():
         parse_query("from x : V{Node} report y end")
 
 
+@pytest.mark.parametrize("query, column", [
+    ("from x : x report 1 end", 10),  # a group does not see its own names
+    ("tup(from x : V report x end, x)", 30),  # names end at `end`
+    ("x + (", 1),  # errors come in source order
+])
+def test_unbound_variables_name_their_position(query, column):
+    with pytest.raises(ParseError) as info:
+        parse_query(query)
+    assert str(info.value) == f"unbound variable 'x' (line 1, column {column})"
+    assert (info.value.line, info.value.column) == (1, column)
+
+
 def test_later_declarations_see_earlier_names():
     parse_query("from x : V{Node}, y : x -->{Edge_LinksToSrc} report y end")
     with pytest.raises(ParseError, match="unbound"):

@@ -134,6 +134,18 @@ class TestTemplates:
                 "CreateSubgraph (a : X | arch = $), (a := $[0]) <== set();"
             )
 
+    @pytest.mark.parametrize("template, message", [
+        ("(a := $[0]) -->{E} (a := $[1])",
+         "duplicate template alias 'a' (line 2, column 34)"),
+        ("(a := $[0]) -->{E} b",
+         "unknown template alias 'b' (line 2, column 33)"),
+    ], ids=["duplicate", "unknown"])
+    def test_alias_errors_point_at_the_alias(self, template, message):
+        with pytest.raises(ParseError) as info:
+            parse_script(
+                f"transformation T;\nMatchReplace {template} <== set(1);")
+        assert str(info.value) == message
+
     def test_bare_alias_endpoints(self):
         t = parse_script(
             "transformation T;\n"
@@ -161,6 +173,13 @@ def test_embedded_queries_may_use_trace_maps():
 def test_embedded_queries_reject_unbound_names():
     with pytest.raises(ParseError, match="unbound"):
         parse_script("transformation T;\nCreateVertices X <== mystery;")
+
+
+def test_unbound_names_in_scripts_name_their_position():
+    with pytest.raises(ParseError) as info:
+        parse_script("transformation T;\n"
+                     "CreateVertices N <== from x : V with y = 1 report x end;")
+    assert str(info.value) == "unbound variable 'y' (line 2, column 38)"
 
 
 def test_comments_allowed():
