@@ -9,7 +9,7 @@ script compiles each expression once per op.
   compiled with (`evaluate`'s bindings, a template's `$`), then one per
   comprehension level, bound by `child`.  A variable compiles to its
   slot's index, a name bound nowhere to the `outer` getter of a script's
-  `img_T`/`arch_T`, or to a closure that raises.
+  `img_T`/`arch_T`, read once per evaluation, or to a closure that raises.
 * A builtin gets its arguments' values straight.  An unknown function
   or class, a wrong arity or a needless qualifier raises when evaluated.
 * An operator chain is combined from the leftmost operand up, without
@@ -271,7 +271,7 @@ class Query:
             return operator.itemgetter(slot)
         get = self.outer and self.outer(name)
         if get is not None:
-            return lambda env: get()
+            return self.memo(lambda env: get())
         return raiser("'$' is not bound here" if name == "$"
                        else f"unbound variable '{name}'")
 

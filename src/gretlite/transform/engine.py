@@ -33,8 +33,8 @@ from gretlite import model
 from gretlite.errors import GretliteError, TransformError
 from gretlite.query.evaluator import Query, evaluate, raiser
 from gretlite.transform import ops
-from gretlite.values import (UNDEFINED, OrderedSet, ValueMap, is_collection,
-                             leaves, render_value, value_key)
+from gretlite.values import (OrderedSet, ValueMap, is_collection, leaves,
+                             render_value, value_key)
 
 ROUND_LIMIT = 1_000
 
@@ -55,10 +55,9 @@ class TraceabilityMap:
     finds a clash in the unions of C's superclasses.  C's own entries are
     those of its union whose element is of class C, the class registered.
 
-    The union views handed to queries are built once per lookup class and
-    kept until the next registration, which drops them all.  A dropped
-    view is never changed, so a query that holds one keeps a consistent
-    snapshot.
+    The union views handed to queries are built on request, one new map
+    each time, and never changed afterwards: a query that holds one keeps
+    a consistent snapshot while registrations go on.
     """
 
     def __init__(self, schema: model.Schema):
@@ -66,8 +65,6 @@ class TraceabilityMap:
         # class -> value_key(archetype) -> (archetype, element), registered
         # for the class or one of its subclasses, in registration order
         self._unions: defaultdict[str, dict] = defaultdict(dict)
-        # (class, inverse) -> img (False) or arch (True) union view
-        self._views: dict[tuple[str, bool], ValueMap] = {}
 
     def register(self, class_name: str, archetype, element: model.Element):
         key = value_key(archetype)
@@ -86,7 +83,6 @@ class TraceabilityMap:
         entry = (archetype, element)
         for cls in lookups:
             unions[cls][key] = entry
-        self._views.clear()  # views handed out stay as they are
 
     def image(self, class_name: str, archetype) -> model.Element | None:
         union = self._unions.get(class_name)
@@ -105,13 +101,9 @@ class TraceabilityMap:
         return self._view(class_name, True)
 
     def _view(self, class_name: str, inverse: bool) -> ValueMap:
-        view = self._views.get((class_name, inverse))
-        if view is None:
-            pairs = [(el, arch) if inverse else (arch, el)
-                     for cls in self._schema.subclasses(class_name)
-                     for arch, el in self.entries(cls)]
-            view = self._views[(class_name, inverse)] = ValueMap(pairs)
-        return view
+        return ValueMap([(el, arch) if inverse else (arch, el)
+                         for cls in self._schema.subclasses(class_name)
+                         for arch, el in self.entries(cls)])
 
     def classes(self) -> list[str]:
         declared = self._schema.vertex_classes + self._schema.edge_classes
@@ -320,7 +312,7 @@ def _match_replace(ctx, op: ops.MatchReplace) -> int:
             if not isinstance(element, model.Element):
                 raise TransformError(
                     f"template reference '{tv.alias}' must name a graph "
-                    f"element, got {render_value(element) if element is not None else 'nothing'}"
+                    f"element, got {render_value(element)}"
                 )
             aliases[tv.alias] = element
         preserved = set(aliases.values())
@@ -344,7 +336,7 @@ def _delete(ctx, op: ops.Delete) -> int:
         if not isinstance(el, model.Element):
             raise TransformError(
                 f"Delete results must contain graph elements only, got "
-                f"{render_value(el) if el is not UNDEFINED else 'undefined'}"
+                f"{render_value(el)}"
             )
     return len(_delete_all(ctx, flat))
 

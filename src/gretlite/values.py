@@ -66,10 +66,30 @@ def leaves(value):
         yield value
 
 
-class OrderedSet:
-    """Duplicate-free collection with insertion-order iteration."""
+class _Keyed:
+    """A collection held in `_items`, a dict keyed by `value_key`; it equals
+    only a collection of its own type with the same members."""
 
     __slots__ = ("_items",)
+
+    def __contains__(self, value):
+        return value_key(value) in self._items
+
+    def __len__(self):
+        return len(self._items)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return value_key(self) == value_key(other)
+
+    __hash__ = None
+
+
+class OrderedSet(_Keyed):
+    """Duplicate-free collection with insertion-order iteration."""
+
+    __slots__ = ()
 
     def __init__(self, items=()):
         self._items: dict = {}
@@ -86,30 +106,17 @@ class OrderedSet:
     def add(self, value):
         self._items.setdefault(value_key(value), value)
 
-    def __contains__(self, value):
-        return value_key(value) in self._items
-
     def __iter__(self):
         return iter(self._items.values())
-
-    def __len__(self):
-        return len(self._items)
-
-    def __eq__(self, other):
-        if not isinstance(other, OrderedSet):
-            return NotImplemented
-        return value_key(self) == value_key(other)
-
-    __hash__ = None
 
     def __repr__(self):
         return "{" + ", ".join(repr(v) for v in self) + "}"
 
 
-class ValueMap:
+class ValueMap(_Keyed):
     """Insertion-ordered map whose keys compare structurally."""
 
-    __slots__ = ("_items",)
+    __slots__ = ()
 
     def __init__(self, entries=()):
         self._items: dict = {}
@@ -123,24 +130,11 @@ class ValueMap:
         hit = self._items.get(value_key(key))
         return default if hit is None else hit[1]
 
-    def __contains__(self, key):
-        return value_key(key) in self._items
-
     def keys(self):
         return [k for k, _ in self._items.values()]
 
     def items(self):
         return list(self._items.values())
-
-    def __len__(self):
-        return len(self._items)
-
-    def __eq__(self, other):
-        if not isinstance(other, ValueMap):
-            return NotImplemented
-        return value_key(self) == value_key(other)
-
-    __hash__ = None
 
     def __repr__(self):
         body = ", ".join(f"{k!r} -> {v!r}" for k, v in self.items())

@@ -65,6 +65,13 @@ def test_map_equality():
     assert a != ValueMap([(1, "y")])
 
 
+def test_sets_and_maps_equal_only_their_own_type():
+    assert OrderedSet() != ValueMap()
+    assert ValueMap() != OrderedSet()
+    assert OrderedSet([1]) != [1]
+    assert ValueMap() != {}
+
+
 def test_nested_sets_as_members():
     outer = OrderedSet([OrderedSet([1, 2]), OrderedSet([2, 1])])
     assert len(outer) == 1
