@@ -106,7 +106,7 @@ def eval_path(graph: model.Graph, start: model.Vertex, steps,
     """Vertices reachable from `start` by applying each step in sequence
     (aggregation steps go forward over aggregation edge classes only).
     `classes` holds, per step, the edge class names it may traverse (None
-    for any), as `_step_classes` resolves them if not given."""
+    for any); if not given, `_class_names` resolves each step's."""
     if not isinstance(start, model.Vertex):
         raise QueryError("path expressions start at a vertex")
     if classes is None:
@@ -131,8 +131,15 @@ def eval_path(graph: model.Graph, start: model.Vertex, steps,
     return OrderedSet.of_elements(frontier)
 
 
-def _spec_names(schema: model.Schema, specs, lookup,
-                aggregations_only=False) -> frozenset:
+def _class_names(schema: model.Schema, specs, kind: str,
+                 aggregations_only=False) -> frozenset | None:
+    """The names of the classes of `kind` ("V" or "E") that `specs` admit,
+    or None for any; with `aggregations_only` (a '<>--' step), only
+    aggregation edge classes, all of them if `specs` is empty."""
+    if not specs:
+        return frozenset(c.name for c in schema.edge_classes
+                         if c.is_aggregation) if aggregations_only else None
+    lookup = schema.vertex_class if kind == "V" else schema.edge_class
     names: set[str] = set()
     for spec in specs:
         try:
@@ -153,28 +160,15 @@ def _spec_names(schema: model.Schema, specs, lookup,
 
 def _step_classes(schema: model.Schema, steps) -> tuple:
     """Per step, the edge class names it may traverse, or None for any."""
-    out = []
-    for step in steps:
-        if step.direction != "agg" and not step.classes:
-            out.append(None)
-        elif not step.classes:  # a bare '<>--'
-            out.append(frozenset(c.name for c in schema.edge_classes
-                                 if c.is_aggregation))
-        else:
-            out.append(_spec_names(schema, step.classes, schema.edge_class,
-                                   aggregations_only=step.direction == "agg"))
-    return tuple(out)
+    return tuple(_class_names(schema, s.classes, "E", s.direction == "agg")
+                 for s in steps)
 
 
 def _element_set(graph: model.Graph, node: n.ElementSet):
-    schema = graph.schema
-    if node.kind == "V":
-        pool, lookup = graph.vertices, schema.vertex_class
-    else:
-        pool, lookup = graph.edges, schema.edge_class
-    if not node.classes:
+    pool = graph.vertices if node.kind == "V" else graph.edges
+    allowed = _class_names(graph.schema, node.classes, node.kind)
+    if allowed is None:
         return OrderedSet.of_elements(dict(zip(pool, pool)))
-    allowed = _spec_names(schema, node.classes, lookup)
     return OrderedSet.of_elements(
         {el: el for el in pool if el.class_name in allowed})
 
@@ -326,8 +320,7 @@ class Query:
             here = (scope, depth + k + 1, frozenset((level.name,)), None)
             candidates.append(self.candidates(level, k, before, here))
             checks.append([self.compile(c, here) for c in level.checks])
-        exprs = [self.compile(e, here) for e in (*node.exprs, node.value_expr)
-                 if e is not None]  # a map's value_expr comes last
+        exprs = [self.compile(e, here) for e in node.exprs]
         project = exprs[0] if len(exprs) == 1 else _tuple_of(exprs)
         new, add = _RESULTS[node.kind]
         last = len(levels) - 1
@@ -454,8 +447,7 @@ class Query:
             return _applied(raiser(
                 f"function 'degree' called with {len(args)} arguments"), args)
         graph, specs = self.graph, node.classes
-        allowed = self.memo(lambda env: _spec_names(
-            graph.schema, specs, graph.schema.edge_class) if specs else None)
+        allowed = self.memo(lambda env: _class_names(graph.schema, specs, "E"))
         arg, = args
 
         def degree(env):

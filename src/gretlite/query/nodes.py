@@ -37,9 +37,9 @@ class DeclGroup(Record):
 
 class Comprehension(Record):
     # kind: "list", "set", "map"; exprs: the report projections, for "map"
-    # the key expression; value_expr: the mapped value for "map", else None
-    __slots__ = ("decls", "condition", "kind", "exprs", "value_expr")
-    _defaults = {"exprs": (), "value_expr": None}
+    # the key expression and the mapped value, in that order
+    __slots__ = ("decls", "condition", "kind", "exprs")
+    _defaults = {"exprs": ()}
 
 
 class PathApply(Record):
@@ -77,8 +77,8 @@ class Index(Record):
 def children(node) -> tuple:
     """The subexpressions of `node`, in evaluation order.
 
-    For a comprehension: each domain, the condition, the projections and
-    the mapped value; walkers that track scope handle it themselves.
+    For a comprehension: each domain, the condition, then the projections,
+    a map's key and value; walkers that track scope handle it themselves.
     """
     match node:
         case Binary():
@@ -101,8 +101,5 @@ def children(node) -> tuple:
             parts = [g.domain for g in node.decls]
             if node.condition is not None:
                 parts.append(node.condition)
-            parts.extend(node.exprs)
-            if node.value_expr is not None:
-                parts.append(node.value_expr)
-            return tuple(parts)
+            return (*parts, *node.exprs)
     return ()

@@ -265,17 +265,15 @@ class QueryParser:
         if kind == "map":
             key = self.parse_expression()
             self.ts.expect_symbol("->")
-            value = self.parse_expression()
-            exprs, value_expr = (key,), value
+            exprs = [key, self.parse_expression()]
         else:
             exprs = [self.parse_expression()]
             while self.ts.at_symbol(","):
                 self.ts.next()
                 exprs.append(self.parse_expression())
-            exprs, value_expr = tuple(exprs), None
         self.ts.expect_ident("end")
         del self._bound[outer:]
-        return n.Comprehension(tuple(groups), condition, kind, exprs, value_expr)
+        return n.Comprehension(tuple(groups), condition, kind, tuple(exprs))
 
     def _decl_group(self) -> n.DeclGroup:
         names = [self._decl_name()]

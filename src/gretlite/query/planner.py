@@ -79,7 +79,7 @@ def _label(node) -> tuple:
             return (repr(node.steps),)
         case n.Comprehension():
             return (node.kind, tuple(g.names for g in node.decls),
-                    node.condition is None, node.value_expr is None)
+                    node.condition is None)
     return (getattr(node, "name", None), getattr(node, "op", None))
 
 

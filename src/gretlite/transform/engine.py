@@ -44,16 +44,17 @@ _MISSING = object()
 class TraceabilityMap:
     """Per-class archetype-to-image bookkeeping.
 
-    Each class holds a bijection archetype -> created element.  Lookups
-    through a class T consult T and all subclasses of T (the union view),
-    so an archetype registered for a concrete class resolves through any
-    of its supertypes.  Registration rejects an archetype that is already
-    visible through any lookup class shared with the new entry.
+    Each class holds a bijection archetype -> created element, and an
+    entry's class is always its element's class.  Lookups through a class
+    T consult T and all subclasses of T (the union view), so an archetype
+    registered for a concrete class resolves through any of its
+    supertypes.  Registration rejects an archetype that is already visible
+    through any lookup class shared with the new entry.
 
     The one store is each lookup class's union, which an entry for C joins
     in every superclass of C: `image` is one dict lookup, and `register`
     finds a clash in the unions of C's superclasses.  C's own entries are
-    those of its union whose element is of class C, the class registered.
+    those of its union whose element is of class C.
 
     The union views handed to queries are built on request, one new map
     each time, and never changed afterwards: a query that holds one keeps
@@ -66,11 +67,11 @@ class TraceabilityMap:
         # for the class or one of its subclasses, in registration order
         self._unions: defaultdict[str, dict] = defaultdict(dict)
 
-    def register(self, class_name: str, archetype, element: model.Element):
+    def register(self, archetype, element: model.Element):
         key = value_key(archetype)
-        lookups = self._schema._supers.get(class_name)
-        if lookups is None:
-            self._schema.element_class(class_name)  # unknown: SchemaError
+        lookups = self._schema._supers.get(element.class_name)
+        if lookups is None:  # unknown: SchemaError
+            self._schema.element_class(element.class_name)
         unions = self._unions
         for lookup in lookups:
             if key in unions.get(lookup, ()):
@@ -199,7 +200,7 @@ def _create_vertices(ctx, op: ops.CreateVertices) -> int:
     members = _require_set(ctx.eval(op.query), "CreateVertices")
     for archetype in members:
         vertex = ctx.graph.create_vertex(op.class_name)
-        ctx.trace.register(op.class_name, archetype, vertex)
+        ctx.trace.register(archetype, vertex)
     return len(members)
 
 
@@ -216,7 +217,7 @@ def _create_edges(ctx, op: ops.CreateEdges) -> int:
         start = _resolve_image(ctx, edge_class.from_class, start_arch)
         end = _resolve_image(ctx, edge_class.to_class, end_arch)
         edge = ctx.graph.create_edge(op.class_name, start, end)
-        ctx.trace.register(op.class_name, edge_arch, edge)
+        ctx.trace.register(edge_arch, edge)
     return len(members)
 
 
@@ -262,7 +263,7 @@ def _instantiate(ctx, template: ops.Template, aliases: dict, dollar):
         if not tv.is_ref:
             archetype = ctx.eval(tv.arch, dollar)
             vertex = ctx.graph.create_vertex(tv.class_name)
-            ctx.trace.register(tv.class_name, archetype, vertex)
+            ctx.trace.register(archetype, vertex)
             aliases[tv.alias] = vertex
     for tv in template.vertices:
         element = aliases[tv.alias]
@@ -282,7 +283,7 @@ def _instantiate(ctx, template: ops.Template, aliases: dict, dollar):
                 )
         edge = ctx.graph.create_edge(te.class_name, start, end)
         if te.arch is not None:
-            ctx.trace.register(te.class_name, ctx.eval(te.arch, dollar), edge)
+            ctx.trace.register(ctx.eval(te.arch, dollar), edge)
         for name, expr in te.assigns:
             edge.set_attr(name, ctx.eval(expr, dollar))
 

@@ -199,7 +199,7 @@ def naive_comprehension(comp, graph, bindings=None):
         for row in rows:
             result.put(
                 naive_eval(comp.exprs[0], graph, row),
-                naive_eval(comp.value_expr, graph, row),
+                naive_eval(comp.exprs[1], graph, row),
             )
         return result
     projected = []
@@ -601,7 +601,8 @@ class NaiveTraceabilityMap:
         self._schema = schema
         self._maps: dict[str, dict] = {}
 
-    def register(self, class_name, archetype, element):
+    def register(self, archetype, element):
+        class_name = element.class_name
         key = naive_value_key(archetype)
         shared = naive_superclasses(self._schema, class_name)
         clashes = [cls for cls, entries in self._maps.items()

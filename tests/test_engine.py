@@ -8,6 +8,7 @@ from gretlite import corpus
 from gretlite.errors import SchemaError, TransformError
 from gretlite.formats import load_graph, load_schema, save_graph
 from gretlite.model import Graph, Schema
+from gretlite.report import trace_report
 from gretlite.transform import TraceabilityMap, engine, execute, parse_script
 from gretlite.values import UNDEFINED, OrderedSet
 
@@ -498,17 +499,34 @@ class TestTraceability:
         trace = TraceabilityMap(schema)
         g = Graph(schema)
         v = g.create_vertex("Node")
-        trace.register("Node", 1, v)
+        trace.register(1, v)
         assert trace.image("GraphComponent", 1) is v
         assert trace.image("Edge_", 1) is None
         assert trace.img_value("GraphComponent").get(1) is v
 
-    def test_register_under_an_unknown_class_is_a_schema_error(self):
+    def test_an_entry_is_filed_under_its_elements_class(self):
+        # one registration shows in the image, the entries, the classes,
+        # both views and the report alike
         schema = genutil.graph1evo_schema()
         trace = TraceabilityMap(schema)
-        v = Graph(schema).create_vertex("Node")
-        with pytest.raises(SchemaError, match="^unknown class 'Nope'$"):
-            trace.register("Nope", 1, v)
+        node = Graph(schema).create_vertex("Node")
+        trace.register(1, node)
+        assert trace.image("GraphComponent", 1) is node
+        assert trace.entries("Node") == [(1, node)]
+        assert trace.classes() == ["Node"]
+        assert trace.img_value("GraphComponent").get(1) is node
+        assert trace.arch_value("Node").get(node) == 1
+        assert trace_report(trace) == "Node: 1 -> v1\n"
+        with pytest.raises(TransformError, match="^archetype 1 already has "
+                           "an image visible via class 'Node'$"):
+            trace.register(1, node.graph.create_vertex("Node"))
+
+    def test_register_under_an_unknown_class_is_a_schema_error(
+            self, hello_ext_schema):
+        trace = TraceabilityMap(genutil.graph1evo_schema())
+        person = Graph(hello_ext_schema).create_vertex("Person")
+        with pytest.raises(SchemaError, match="^unknown class 'Person'$"):
+            trace.register(1, person)
         assert trace.classes() == []
 
     def test_trace_maps_visible_to_queries(self, hello_ext_schema):
@@ -535,9 +553,9 @@ class TestTraceability:
         g = Graph(hello_ext_schema)
         trace = TraceabilityMap(hello_ext_schema)
         first, second = (g.create_vertex("Person") for _ in range(2))
-        trace.register("Person", 1, first)
+        trace.register(1, first)
         img, arch = trace.img_value("Person"), trace.arch_value("Person")
-        trace.register("Person", 2, second)
+        trace.register(2, second)
         assert img.keys() == [1] and arch.keys() == [first]
         assert trace.img_value("Person").keys() == [1, 2]
         assert trace.arch_value("Person").get(second) == 2
@@ -628,13 +646,13 @@ def test_trace_map_matches_scanning_oracle(run):
                 for c in classes for inv in (False, True)}
         snapshot = {key: _items(view) for key, view in held.items()}
         try:
-            naive.register(cls, archetype, element)
+            naive.register(archetype, element)
         except TransformError as exc:
             with pytest.raises(TransformError) as info:
-                trace.register(cls, archetype, element)
+                trace.register(archetype, element)
             assert str(info.value) == str(exc)
         else:
-            trace.register(cls, archetype, element)
+            trace.register(archetype, element)
         assert all(_items(view) == snapshot[key]
                    for key, view in held.items())
         assert trace.classes() == naive.classes()

@@ -15,7 +15,7 @@ from gretlite.query import evaluator as ev
 from gretlite.query import nodes as n
 from gretlite.query import planner
 from gretlite.transform import parse_script
-from gretlite.values import OrderedSet, ValueMap, render_value
+from gretlite.values import UNDEFINED, OrderedSet, ValueMap, render_value
 
 import genutil
 import oracles
@@ -507,6 +507,7 @@ def test_join_key_errors_surface_when_the_index_is_built(empty_graph):
     ("false and count{Node}(set()) = 1", False),
     ("from v : V{Node} report degree{Nope}(v) end", []),
     ("from v : V{Node} report v -->{Nope} end", []),
+    ("undefined -->{Nope}", UNDEFINED),
 ])
 def test_errors_are_raised_when_evaluated_not_when_compiled(
         empty_graph, text, expected):

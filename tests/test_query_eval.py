@@ -272,6 +272,15 @@ EVALUATION_ERRORS = {
     # a call of 0 or 3 arguments takes `_applied`'s general case
     "count()": "function 'count' called with 0 arguments",
     "count(1, 2, 3)": "function 'count' called with 3 arguments",
+    # class names resolve through one resolver, with one set of messages
+    "V{Nope}": "unknown class 'Nope'",
+    "E{Node}": "'Node' is not an edge class",
+    "degree{Node}(theElement(V{Graph_}))": "'Node' is not an edge class",
+    "theElement(V{Graph_}) <>--{Edge_LinksToSrc}":
+        "'<>--' traverses aggregation edge classes only, and "
+        "'Edge_LinksToSrc' is not one",
+    # the argument is checked before the classes
+    "degree{Nope}(1)": "degree expects a vertex",
 }
 
 

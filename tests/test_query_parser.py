@@ -36,7 +36,7 @@ def test_shared_domain_declarations():
 def test_report_map():
     ast = parse_query("from x : V{Node} reportMap x -> x.name end")
     assert ast.kind == "map"
-    assert ast.value_expr == n.AttrAccess(n.VarRef("x"), "name")
+    assert ast.exprs[1] == n.AttrAccess(n.VarRef("x"), "name")
 
 
 def test_multi_expression_report_rows():

@@ -26,7 +26,7 @@ DEFAULTS = {
     "DollarRef": {},
     "ElementSet": {"classes": ()},
     "DeclGroup": {},
-    "Comprehension": {"exprs": (), "value_expr": None},
+    "Comprehension": {"exprs": ()},
     "PathApply": {},
     "Call": {},
     "MapLit": {},
