@@ -3,35 +3,8 @@
 The package bundles a schema-conforming graph model, a query language
 with comprehensions and path expressions, a transformation script
 language with archetype/image traceability, text formats, and a CLI.
+Each entry point is imported from its home module: `formats.load_schema`,
+`load_graph` and `save_graph`; `query.parser.parse_query`;
+`query.evaluator.evaluate`; `transform.parser.parse_script`;
+`transform.engine.execute`; and `cli.main`.
 """
-
-from gretlite.errors import (
-    GraphError,
-    GretliteError,
-    ParseError,
-    QueryError,
-    SchemaError,
-    TransformError,
-)
-from gretlite.model import AttrType, Edge, EdgeClass, Graph, Schema, Vertex, VertexClass
-from gretlite.values import UNDEFINED, OrderedSet, ValueMap, render_value
-
-__all__ = [
-    "AttrType",
-    "Edge",
-    "EdgeClass",
-    "Graph",
-    "GraphError",
-    "GretliteError",
-    "OrderedSet",
-    "ParseError",
-    "QueryError",
-    "Schema",
-    "SchemaError",
-    "TransformError",
-    "UNDEFINED",
-    "ValueMap",
-    "Vertex",
-    "VertexClass",
-    "render_value",
-]

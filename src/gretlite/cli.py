@@ -19,7 +19,8 @@ from pathlib import Path
 
 from gretlite.errors import GretliteError
 from gretlite.formats import export_dot, load_graph, load_schema, save_graph
-from gretlite.query import evaluate, parse_query
+from gretlite.query.evaluator import evaluate
+from gretlite.query.parser import parse_query
 from gretlite.report import render_result, trace_report
 
 
@@ -74,7 +75,8 @@ def cmd_query(args, read) -> list[tuple[str | None, str]]:
 # so that a query run does not pay for importing them.
 
 def cmd_transform(args, read) -> list[tuple[str | None, str]]:
-    from gretlite.transform import execute, parse_script
+    from gretlite.transform.engine import execute
+    from gretlite.transform.parser import parse_script
 
     # No output may replace another output or an input, but `--out` the
     # source.  `named` maps each real path to the first file naming it.

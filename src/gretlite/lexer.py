@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from gretlite.errors import ParseError
@@ -106,23 +105,20 @@ class TokenStream:
     """Cursor over tokens with the usual expect/peek helpers."""
 
     def __init__(self, tokens: Iterable[Token]):
-        # Any iterable other than a list is read only as far as the parser
-        # looks, so a lexical fault after the first syntax fault is never
-        # reached.
-        lazy = not isinstance(tokens, list)
-        self._tokens = [] if lazy else tokens
-        self._rest = iter(tokens if lazy else ())
+        # `tokens` is read only as far as the parser looks, so from a lazy
+        # scan a lexical fault after the first syntax fault is never reached
+        self._tokens: list[Token] = []
+        self._rest = iter(tokens)
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        i = self._pos + ahead
-        try:
-            return self._tokens[i]
-        except IndexError:
-            # pull from a lazy source; past EOF, which next() never moves
-            # beyond, a look-ahead gets EOF again
-            self._tokens += islice(self._rest, i + 1 - len(self._tokens))
-            return self._tokens[min(i, len(self._tokens) - 1)]
+        i, tokens = self._pos + ahead, self._tokens
+        while i >= len(tokens):
+            tok = next(self._rest, None)
+            if tok is None:  # past EOF, which next() never passes: EOF again
+                return tokens[-1]
+            tokens.append(tok)
+        return tokens[i]
 
     def next(self) -> Token:
         tok = self.peek()

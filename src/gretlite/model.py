@@ -35,9 +35,6 @@ class AttrType(Enum):
     BOOLEAN = "Boolean"
     DOUBLE = "Double"
 
-    def default(self):
-        return _DEFAULTS[self]
-
     def accepts(self, value) -> bool:
         if self is AttrType.STRING:
             return isinstance(value, str)
@@ -46,9 +43,6 @@ class AttrType(Enum):
         if self is AttrType.INTEGER:
             return isinstance(value, int) and not isinstance(value, bool)
         return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-    def coerce(self, value):
-        return float(value) if self is AttrType.DOUBLE else value
 
 
 _DEFAULTS = {
@@ -89,8 +83,6 @@ class Schema:
         # class -> attr name -> (declaring class, type); insertion order is
         # supertype-first so instances list inherited attributes first.
         self._flat: dict[str, dict[str, tuple[str, AttrType]]] = {}
-        # class -> attr name -> type, the types of `_flat`
-        self._attr_types: dict[str, dict[str, AttrType]] = {}
         # class -> attr -> default, copied per new element unless empty
         self._defaults: dict[str, dict[str, object]] = {}
         self._supers: dict[str, frozenset[str]] = {}
@@ -129,9 +121,6 @@ class Schema:
             raise SchemaError(f"'{name}' is not an edge class")
         return cls
 
-    def is_vertex_class(self, name: str) -> bool:
-        return isinstance(self._classes.get(name), VertexClass)
-
     def superclasses(self, name: str) -> frozenset[str]:
         """Transitive supertypes of `name`, including `name` itself."""
         return self._lookup(self._supers, name)
@@ -154,11 +143,11 @@ class Schema:
         return sup in supers
 
     def attribute_type(self, class_name: str, attr_name: str) -> AttrType:
-        atype = self._lookup(self._attr_types, class_name).get(attr_name)
-        if atype is None:
+        entry = self._lookup(self._flat, class_name).get(attr_name)
+        if entry is None:
             raise SchemaError(
                 f"class '{class_name}' declares no attribute '{attr_name}'")
-        return atype
+        return entry[1]
 
     def define_vertex_class(self, name: str, *, is_abstract: bool = False,
                             supertypes=(), attributes=()) -> VertexClass:
@@ -177,7 +166,7 @@ class Schema:
         attributes = tuple((a, t) for a, t in attributes)
         self._check_header(name, supertypes, kind=EdgeClass)
         for endpoint in (from_class, to_class):
-            if not self.is_vertex_class(endpoint):
+            if not isinstance(self._classes.get(endpoint), VertexClass):
                 raise SchemaError(f"edge class '{name}' endpoint '{endpoint}'"
                                   " is not a defined vertex class")
         cls = EdgeClass(name, from_class, to_class, is_abstract, supertypes,
@@ -223,9 +212,8 @@ class Schema:
             merged[attr] = (cls.name, atype)
         self._classes[cls.name] = cls
         self._flat[cls.name] = merged
-        self._attr_types[cls.name] = {a: t for a, (_, t) in merged.items()}
         self._defaults[cls.name] = {
-            a: t.default() for a, (_, t) in merged.items()}
+            a: _DEFAULTS[t] for a, (_, t) in merged.items()}
         supers = frozenset({cls.name}).union(
             *(self._supers[sup] for sup in cls.supertypes))
         self._supers[cls.name] = supers
@@ -255,19 +243,21 @@ class Element:
 
     def set_attr(self, name: str, value) -> bool:
         """Write an attribute; returns True iff the stored value changed."""
-        atype = self.graph.schema._attr_types[self.class_name].get(name)
-        if atype is None or not self.alive:
+        entry = self.graph.schema._flat[self.class_name].get(name)
+        if entry is None or not self.alive:
             self._require_alive()
             self.graph.schema.attribute_type(self.class_name, name)  # raises
+        atype = entry[1]
         if not atype.accepts(value):
             raise GraphError(
                 f"attribute '{name}' of '{self.class_name}' expects "
                 f"{atype.value}, got {value!r}"
             )
-        try:
-            value = atype.coerce(value)
-        except OverflowError:  # an integer too large for a Double
-            value = math.inf
+        if atype is AttrType.DOUBLE:
+            try:
+                value = float(value)
+            except OverflowError:  # an integer too large for a Double
+                value = math.inf
         if isinstance(value, float) and not math.isfinite(value):
             raise GraphError(f"attribute '{name}' rejects non-finite value")
         old = self._attrs[name]
@@ -300,14 +290,6 @@ class Vertex(Element):
         self.alive = True
         self._attrs = defaults.copy() if defaults else defaults
         self._entries: dict[Edge, int] = {}
-
-    def incidences(self):
-        """The (direction, edge) incidences, "out" or "in", in creation
-        order, a loop's "out" before its "in"; do not change the graph
-        while iterating them."""
-        self._require_alive()
-        return ((d, edge) for edge, flags in self._entries.items()
-                for d, bit in (("out", OUT), ("in", IN)) if flags & bit)
 
 
 class Edge(Element):

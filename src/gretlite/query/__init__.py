@@ -1,6 +1,1 @@
 """Query language: comprehensions, path expressions, builtin functions."""
-
-from gretlite.query.evaluator import Bindings, eval_path, evaluate, run_query
-from gretlite.query.parser import parse_query
-
-__all__ = ["Bindings", "eval_path", "evaluate", "parse_query", "run_query"]

@@ -45,7 +45,6 @@ import sys
 from gretlite import model
 from gretlite.errors import GraphError, QueryError, SchemaError
 from gretlite.query import nodes as n
-from gretlite.query.parser import parse_query
 from gretlite.query.planner import Planner
 from gretlite.values import (UNDEFINED, OrderedSet, ValueMap, is_collection,
                              leaves, to_text, value_equal, value_key)
@@ -96,21 +95,13 @@ def evaluate(query, graph: model.Graph, bindings=None):
             table.clear()
 
 
-def run_query(text: str, graph: model.Graph, bindings=None):
-    names = tuple(bindings or ())
-    return evaluate(parse_query(text, extra_names=names), graph, bindings)
-
-
-def eval_path(graph: model.Graph, start: model.Vertex, steps,
-              classes=None):
-    """Vertices reachable from `start` by applying each step in sequence
-    (aggregation steps go forward over aggregation edge classes only).
-    `classes` holds, per step, the edge class names it may traverse (None
-    for any); if not given, `_class_names` resolves each step's."""
+def eval_path(graph: model.Graph, start: model.Vertex, steps, classes):
+    """Vertices reachable from `start` by applying each step in sequence.
+    `classes` holds, per step, the edge class names it may traverse, or
+    None for any, as `_step_classes` resolves them: so an aggregation step
+    goes forward over aggregation edge classes only."""
     if not isinstance(start, model.Vertex):
         raise QueryError("path expressions start at a vertex")
-    if classes is None:
-        classes = _step_classes(graph.schema, steps)
     start._require_alive()
     # a frontier maps each vertex to itself, as the result's store does;
     # vertices hash by identity, so no vertex needs a `value_key`

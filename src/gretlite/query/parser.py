@@ -301,14 +301,10 @@ class QueryParser:
         return tok.text
 
 
-def _trace_external(name: str) -> bool:
-    return name.startswith("img_") or name.startswith("arch_")
-
-
-def parse_embedded(stream: TokenStream):
-    """Parse one expression from a shared stream (used by script parsing);
-    `img_T` and `arch_T` names are bound by the script's trace."""
-    return QueryParser(stream, _trace_external).parse_expression()
+def parse_embedded(stream: TokenStream, is_external):
+    """Parse one expression from a shared stream (used by script parsing),
+    where a name bound nowhere in it is bound iff `is_external(name)`."""
+    return QueryParser(stream, is_external).parse_expression()
 
 
 def parse_query(text: str, *, extra_names=()):

@@ -1,8 +1,6 @@
 """Canonical textual reports: query results and traceability listings."""
 
-from __future__ import annotations
-
-from gretlite.values import ValueMap, render_value
+from gretlite.values import ValueMap, render_value, rendered_entries
 
 
 def render_result(value) -> str:
@@ -12,10 +10,7 @@ def render_result(value) -> str:
     rendered key); everything else is the canonical one-line rendering.
     """
     if isinstance(value, ValueMap):
-        pairs = sorted(
-            (render_value(k), render_value(v)) for k, v in value.items()
-        )
-        return "".join(f"{k} -> {v}\n" for k, v in pairs)
+        return "".join(f"{k} -> {v}\n" for k, v in rendered_entries(value))
     return render_value(value) + "\n"
 
 

@@ -143,12 +143,14 @@ class ExecutionResult:
         return evaluate(query, self.source, names)
 
     def _trace_view(self, name: str):
-        """The getter of the trace view `img_T` or `arch_T` names, or None."""
-        trace, (kind, _, cls) = self.trace, name.partition("_")
-        view = {"img": trace.img_value, "arch": trace.arch_value}.get(kind)
-        if view is not None and not self.graph.schema.has_class(cls):
+        """The getter of the trace view `name` names, or None."""
+        if (view := ops.trace_view(name)) is None:
+            return None
+        kind, cls = view
+        if not self.graph.schema.has_class(cls):
             return raiser(f"unknown class '{cls}' in '{name}'")
-        return view and (lambda: view(cls))
+        get = self.trace.img_value if kind == "img" else self.trace.arch_value
+        return lambda: get(cls)
 
 
 def execute(transformation: ops.Transformation,

@@ -3,6 +3,13 @@
 from gretlite.record import Record
 
 
+def trace_view(name: str) -> tuple[str, str] | None:
+    """("img", T) for the name `img_T`, ("arch", T) for `arch_T`: the
+    views of the trace a script's queries read; None for any other name."""
+    kind, underscore, cls = name.partition("_")
+    return (kind, cls) if underscore and kind in ("img", "arch") else None
+
+
 class TemplateVertex(Record):
     """One parenthesized template item.
 

@@ -58,9 +58,9 @@ def _statement(ts: TokenStream, depth: int):
         ts.expect_symbol(".")
         return op(class_name, ts.expect_ident().text, _query_after_arrow(ts))
     if keyword in ("CreateSubgraph", "MatchReplace"):
-        return op(_template(ts), _query_after_arrow(ts))
+        return op(_TemplateParser(ts).parse(), _query_after_arrow(ts))
     if keyword == "Delete":
-        query = parse_embedded(ts)
+        query = parse_embedded(ts, ops.trace_view)
         ts.expect_symbol(";")
         return op(query)
     # Iteratively
@@ -82,7 +82,7 @@ def _statement(ts: TokenStream, depth: int):
 
 def _query_after_arrow(ts: TokenStream):
     ts.expect_symbol("<==")
-    query = parse_embedded(ts)
+    query = parse_embedded(ts, ops.trace_view)
     ts.expect_symbol(";")
     return query
 
@@ -120,7 +120,7 @@ class _TemplateParser:
                 return self._known(tok)
             if self.ts.at_symbol(":="):
                 self.ts.next()
-                ref = parse_embedded(self.ts)
+                ref = parse_embedded(self.ts, ops.trace_view)
                 assigns = self._assigns()
                 self.ts.expect_symbol(")")
                 return self._declare(tok, ref=ref, assigns=assigns)
@@ -129,7 +129,7 @@ class _TemplateParser:
             self.ts.expect_symbol("|")
             self.ts.expect_ident("arch")
             self.ts.expect_symbol("=")
-            arch = parse_embedded(self.ts)
+            arch = parse_embedded(self.ts, ops.trace_view)
             assigns = self._assigns()
             self.ts.expect_symbol(")")
             return self._declare(tok, class_name=class_name, arch=arch,
@@ -144,7 +144,7 @@ class _TemplateParser:
             self.ts.next()
             self.ts.expect_ident("arch")
             self.ts.expect_symbol("=")
-            arch = parse_embedded(self.ts)
+            arch = parse_embedded(self.ts, ops.trace_view)
         assigns = self._assigns()
         self.ts.expect_symbol("}")
         return class_name, arch, assigns
@@ -155,7 +155,7 @@ class _TemplateParser:
             self.ts.next()
             name = self.ts.expect_ident().text
             self.ts.expect_symbol("=")
-            assigns.append((name, parse_embedded(self.ts)))
+            assigns.append((name, parse_embedded(self.ts, ops.trace_view)))
         return tuple(assigns)
 
     def _declare(self, tok, **fields) -> str:
@@ -174,7 +174,3 @@ class _TemplateParser:
                 f"unknown template alias '{tok.text}'", tok.line, tok.column
             )
         return tok.text
-
-
-def _template(ts: TokenStream) -> ops.Template:
-    return _TemplateParser(ts).parse()

@@ -173,11 +173,14 @@ def render_value(v) -> str:
     if isinstance(v, OrderedSet):
         return "{" + ", ".join(sorted(render_value(x) for x in v)) + "}"
     if isinstance(v, ValueMap):
-        pairs = sorted(
-            (render_value(k), render_value(x)) for k, x in v.items()
-        )
-        return "{" + ", ".join(f"{k} -> {x}" for k, x in pairs) + "}"
+        return "{" + ", ".join(
+            f"{k} -> {x}" for k, x in rendered_entries(v)) + "}"
     raise TypeError(f"not a value: {v!r}")
+
+
+def rendered_entries(m: ValueMap) -> list[tuple[str, str]]:
+    """The (key, value) renderings of `m`'s entries, sorted by key."""
+    return sorted((render_value(k), render_value(x)) for k, x in m.items())
 
 
 def to_text(v) -> str:

@@ -1,8 +1,17 @@
-"""Seeded random fixture generators for the test suite."""
+"""Seeded random fixture generators for the test suite, and `run_query`."""
 
 from __future__ import annotations
 
 from gretlite.model import AttrType, Graph, Schema
+from gretlite.query.evaluator import evaluate
+from gretlite.query.parser import parse_query
+
+
+def run_query(text: str, graph: Graph, bindings=None):
+    """The value of the query `text` on `graph`, with the names of
+    `bindings` (name -> value) bound."""
+    names = tuple(bindings or ())
+    return evaluate(parse_query(text, extra_names=names), graph, bindings)
 
 
 def graph1_schema() -> Schema:

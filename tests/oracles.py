@@ -165,9 +165,17 @@ def assert_no_dangling(g):
         assert e.start.alive and id(e.start) in vertex_ids
         assert e.end.alive and id(e.end) in vertex_ids
     for v in g.vertices:
-        for _, e in v.incidences():
+        for e in v._entries:
             assert e.alive
             assert e.start is v or e.end is v
+
+
+def incidences(v) -> list:
+    """The ("out" | "in", edge) pairs of `v`'s incidence entries, in their
+    order, a loop's "out" before its "in"."""
+    return [(d, e) for e, flags in v._entries.items()
+            for d, bit in (("out", model.OUT), ("in", model.IN))
+            if flags & bit]
 
 
 def naive_comprehension(comp, graph, bindings=None):
@@ -449,7 +457,7 @@ def _element_line(ts: TokenStream, graph: model.Graph, labels):
         raise ParseError(f"unknown class '{class_name}'",
                          class_tok.line, class_tok.column)
     try:
-        if graph.schema.is_vertex_class(class_name):
+        if type(graph.schema.element_class(class_name)) is model.VertexClass:
             element = graph.create_vertex(class_name)
         else:
             start = _endpoint(ts, labels)

@@ -15,9 +15,11 @@ from gretlite import corpus
 from gretlite.cli import main
 from gretlite.formats import load_graph, load_schema, save_graph
 from gretlite.model import Graph
-from gretlite.query import evaluate, parse_query
+from gretlite.query.evaluator import evaluate
+from gretlite.query.parser import parse_query
 from gretlite.report import render_result
-from gretlite.transform import execute, parse_script
+from gretlite.transform.engine import execute
+from gretlite.transform.parser import parse_script
 from gretlite.values import OrderedSet
 
 import genutil

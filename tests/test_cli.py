@@ -359,6 +359,35 @@ def test_query_imports_neither_transform_nor_corpus(workdir):
     assert run.stdout == "[]\n6\n[]\n"
 
 
+_LOADED = """
+import sys
+from pathlib import Path
+import gretlite.cli
+gretlite.cli.main(sys.argv[1:])
+print(sum(Path(module.__file__).read_text(encoding="utf-8").count("\\n")
+          for name, module in list(sys.modules.items())
+          if name.split(".")[0] == "gretlite"))
+"""
+# Each process compiles every line of the gretlite modules it loads.  A
+# change that loads fewer lowers this number, as it lowers CI's source
+# budget.
+QUERY_RUN_LINES = 2687
+
+
+def test_query_run_loads_at_most_its_line_budget():
+    root = Path(corpus.__file__).parent
+    files = ("graph1.gls", "sample1.glg", "07-circle-of-three.grq")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED, "query",
+         *(str(root / name) for name in files)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    *output, lines = run.stdout.splitlines(keepends=True)
+    assert "".join(output) == corpus.read_text("golden/07-out.txt")
+    assert int(lines) <= QUERY_RUN_LINES
+
+
 _HEAVY = """
 import sys
 import gretlite.cli
@@ -606,7 +635,8 @@ from pathlib import Path
 from gretlite import corpus
 from gretlite.cli import main
 from gretlite.formats import load_graph, load_schema
-from gretlite.query import evaluate, parse_query
+from gretlite.query.evaluator import evaluate
+from gretlite.query.parser import parse_query
 from gretlite.values import OrderedSet, ValueMap, render_value
 
 

@@ -9,7 +9,9 @@ from gretlite.errors import SchemaError, TransformError
 from gretlite.formats import load_graph, load_schema, save_graph
 from gretlite.model import Graph, Schema
 from gretlite.report import trace_report
-from gretlite.transform import TraceabilityMap, engine, execute, parse_script
+from gretlite.transform import engine
+from gretlite.transform.engine import TraceabilityMap, execute
+from gretlite.transform.parser import parse_script
 from gretlite.values import UNDEFINED, OrderedSet
 
 import genutil

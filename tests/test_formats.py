@@ -14,7 +14,8 @@ from gretlite.formats import (
     save_graph,
 )
 from gretlite.model import AttrType, EdgeClass, Graph, VertexClass
-from gretlite.transform import execute, parse_script
+from gretlite.transform.engine import execute
+from gretlite.transform.parser import parse_script
 
 import genutil
 import oracles
@@ -54,13 +55,13 @@ class TestLoadSchema:
             EdgeClass("Graph_ContainsEdges", "Graph_", "Edge_",
                       is_aggregation=True),
         ]
-        assert s._attr_types["Node"] == {"name": AttrType.STRING}
+        assert s._flat["Node"] == {"name": ("Node", AttrType.STRING)}
 
     def test_inheritance_and_abstract(self):
         s = load_schema(corpus.read_text("graph1evo.gls"))
         assert s.vertex_class("GraphComponent").is_abstract
         assert s.conforms("Edge_", "GraphComponent")
-        assert list(s._attr_types["Node"]) == ["text"]
+        assert list(s._flat["Node"]) == ["text"]
 
     def test_self_cycle_reported_with_position(self):
         with pytest.raises(ParseError, match="cycle"):
@@ -78,7 +79,7 @@ class TestLoadSchema:
                         "vertexclass C { c: String };\n"
                         "vertexclass D : B, C;")
         assert s.vertex_class("D").supertypes == ("B", "C")
-        assert list(s._attr_types["D"]) == ["b", "c"]
+        assert list(s._flat["D"]) == ["b", "c"]
 
     @pytest.mark.parametrize("text, message", [
         ("aggregation vertexclass A;",

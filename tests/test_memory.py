@@ -16,7 +16,8 @@ from gretlite.errors import GraphError, SchemaError
 from gretlite.formats import load_graph, load_schema, save_graph
 from gretlite.model import Graph
 from gretlite.report import trace_report
-from gretlite.transform import execute, parse_script
+from gretlite.transform.engine import execute
+from gretlite.transform.parser import parse_script
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -56,7 +57,7 @@ def test_attribute_less_elements_share_one_empty_store(bulk, graph1_schema):
         by_class.setdefault(el.class_name, []).append(el)
     for class_name, elements in by_class.items():
         stores = {id(el._attrs) for el in elements}
-        if graph1_schema._attr_types[class_name]:
+        if graph1_schema._flat[class_name]:
             assert len(stores) == len(elements), class_name
         else:
             assert len(stores) == 1 and not elements[0]._attrs, class_name

@@ -4,11 +4,12 @@ import pytest
 
 from gretlite.errors import QueryError
 from gretlite.model import Graph
-from gretlite.query import eval_path, run_query
+from gretlite.query.evaluator import _step_classes, eval_path
 from gretlite.query.nodes import ClassSpec, PathStep
 
 import genutil
 import oracles
+from genutil import run_query
 
 
 def build_one_edge(graph1_schema):
@@ -28,7 +29,7 @@ def test_two_step_conceptual_hop(graph1_schema):
         PathStep("in", (ClassSpec("Edge_LinksToSrc"),)),
         PathStep("out", (ClassSpec("Edge_LinksToTrg"),)),
     )
-    result = eval_path(g, n1, steps)
+    result = eval_path(g, n1, steps, _step_classes(g.schema, steps))
     assert list(result) == [n2]
     oracle = oracles.reachable_by_steps(
         g, n1, [("in", {"Edge_LinksToSrc"}), ("out", {"Edge_LinksToTrg"})])
@@ -38,7 +39,8 @@ def test_two_step_conceptual_hop(graph1_schema):
 def test_isolated_vertex_reaches_nothing(graph1_schema):
     g = Graph(graph1_schema)
     v = g.create_vertex("Node")
-    assert len(eval_path(g, v, (PathStep("both"),))) == 0
+    steps = (PathStep("both"),)
+    assert len(eval_path(g, v, steps, _step_classes(g.schema, steps))) == 0
 
 
 def test_aggregation_step(hello_ext_schema):
@@ -125,5 +127,6 @@ def test_path_soundness_against_bfs_oracle(graph1_schema):
                 for d, cs in recipe
             )
             for v in g.vertices:
-                got = {id(x) for x in eval_path(g, v, steps)}
+                got = {id(x) for x in eval_path(
+                    g, v, steps, _step_classes(g.schema, steps))}
                 assert got == oracles.reachable_by_steps(g, v, recipe)

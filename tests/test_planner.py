@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from gretlite import corpus
 from gretlite.errors import QueryError
 from gretlite.model import Graph, Schema
-from gretlite.query import evaluate, parse_query, run_query
+from gretlite.query.evaluator import evaluate
+from gretlite.query.parser import parse_query
 from gretlite.query import evaluator as ev
 from gretlite.query import nodes as n
 from gretlite.query import planner
-from gretlite.transform import parse_script
+from gretlite.transform.parser import parse_script
 from gretlite.values import UNDEFINED, OrderedSet, ValueMap, render_value
 
 import genutil
 import oracles
+from genutil import run_query
 
 
 def rows(value):

@@ -4,11 +4,13 @@ import pytest
 
 from gretlite.errors import QueryError
 from gretlite.model import Graph
-from gretlite.query import evaluate, parse_query, run_query
+from gretlite.query.evaluator import evaluate
+from gretlite.query.parser import parse_query
 from gretlite.values import UNDEFINED, OrderedSet, ValueMap
 
 import genutil
 import oracles
+from genutil import run_query
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@ import pytest
 
 from gretlite.errors import ParseError
 from gretlite.lexer import TokenStream, tokenize
-from gretlite.query import parse_query
-from gretlite.query.parser import parse_embedded
 from gretlite.query import nodes as n
+from gretlite.query.parser import parse_embedded, parse_query
+from gretlite.transform import ops
 from gretlite.values import UNDEFINED
 
 
@@ -71,7 +71,14 @@ def test_trace_variables_need_opt_in():
     with pytest.raises(ParseError, match="unbound"):
         parse_query("img_Node")
     stream = TokenStream(tokenize("img_Node"))
-    assert parse_embedded(stream) == n.VarRef("img_Node")
+    assert parse_embedded(stream, ops.trace_view) == n.VarRef("img_Node")
+
+
+def test_trace_view_names():
+    assert ops.trace_view("img_Node") == ("img", "Node")
+    assert ops.trace_view("arch_") == ("arch", "")
+    for name in ("img", "arch", "imgs_Node", "Node_img", "x"):
+        assert ops.trace_view(name) is None
 
 
 def test_extra_names():

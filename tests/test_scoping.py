@@ -8,8 +8,10 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gretlite.query import evaluate, parse_query
-from gretlite.transform import execute, parse_script
+from gretlite.query.evaluator import evaluate
+from gretlite.query.parser import parse_query
+from gretlite.transform.engine import execute
+from gretlite.transform.parser import parse_script
 from gretlite.values import to_text
 
 import genutil

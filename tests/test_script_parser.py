@@ -3,7 +3,8 @@ import pytest
 from gretlite.errors import ParseError
 from gretlite.query import nodes as qn
 from gretlite.query.parser import MAX_DEPTH
-from gretlite.transform import ops, parse_script
+from gretlite.transform import ops
+from gretlite.transform.parser import parse_script
 
 
 def test_two_statement_script():

@@ -9,8 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import gretlite.transform
 from gretlite import corpus
+from gretlite.transform import engine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,13 +19,13 @@ def _engine_counts(tasks, monkeypatch):
     """(Iteratively rounds, matches applied, matches skipped), summed over
     every `execute` call of the in-process corpus runs of `tasks`."""
     runs = []
-    execute = gretlite.transform.execute
+    execute = engine.execute
 
     def recording(*args, **kwargs):
         runs.append(execute(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(gretlite.transform, "execute", recording)
+    monkeypatch.setattr(engine, "execute", recording)
     for task in tasks:
         assert corpus.run_task(task).passed
     return [sum(n for run in runs for op, n in run.op_counts
