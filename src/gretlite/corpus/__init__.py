@@ -15,6 +15,7 @@ from __future__ import annotations
 from importlib import resources
 
 from gretlite import cli
+from gretlite.errors import UsageError
 
 # (number, title, *command lines)
 TASKS: tuple[tuple, ...] = (
@@ -122,3 +123,15 @@ def run_corpus(root=None, only: int | None = None) -> list[TaskResult]:
             results.append(TaskResult(*task[:2], passed=False,
                                       failure=f"error: {exc}"))
     return results
+
+
+def cmd_corpus(args) -> int:
+    results = run_corpus(only=args.task)
+    if not results:
+        raise UsageError(f"no such task: {args.task}")
+    for r in results:
+        status = "PASS" if r.passed else f"FAIL ({r.failure})"
+        print(f"Task {r.number:2d} {r.title}: {status}")
+    passed = sum(r.passed for r in results)
+    print(f"{passed}/{len(results)} tasks passed")
+    return 0 if passed == len(results) else 1

@@ -30,3 +30,7 @@ class QueryError(GretliteError):
 
 class TransformError(GretliteError):
     """Error while executing a transformation script."""
+
+
+class UsageError(GretliteError):
+    """A command line the CLI cannot run: missing files, clashing options."""

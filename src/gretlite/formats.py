@@ -1,4 +1,4 @@
-"""Text formats for schemas (.gls) and graphs (.glg), plus DOT export.
+"""Text formats for schemas (.gls) and graphs (.glg).
 
 Saved graphs are canonical: vertices then edges, creation order, all
 attributes in declaration order (the order of each element's store),
@@ -77,15 +77,11 @@ def load_schema(text: str) -> model.Schema:
 
 def _class_decl(ts: TokenStream, schema: model.Schema):
     tok = ts.peek()
-    is_aggregation = ts.at_ident("aggregation")
-    if is_aggregation:
-        ts.next()
-    is_abstract = ts.at_ident("abstract")
-    if is_abstract:
-        ts.next()
-    if is_aggregation and ts.at_ident("vertexclass"):
+    is_aggregation = ts.accept("aggregation")
+    is_abstract = ts.accept("abstract")
+    if is_aggregation and ts.peek().text == "vertexclass":
         ts.error("'aggregation' applies to edge classes only")
-    if not ts.at_ident("vertexclass", "edgeclass"):
+    if ts.peek().text not in ("vertexclass", "edgeclass"):
         ts.error("expected a class declaration")
     is_vertex_class = ts.next().text == "vertexclass"
     name = ts.expect_ident().text
@@ -116,22 +112,19 @@ def _class_decl(ts: TokenStream, schema: model.Schema):
 
 
 def _supertypes(ts: TokenStream) -> tuple[str, ...]:
-    if not ts.at_symbol(":"):
+    if not ts.accept(":"):
         return ()
-    ts.next()
     supers = [ts.expect_ident().text]
-    while ts.at_symbol(","):
-        ts.next()
+    while ts.accept(","):
         supers.append(ts.expect_ident().text)
     return tuple(supers)
 
 
 def _attr_block(ts: TokenStream) -> tuple:
-    if not ts.at_symbol("{"):
+    if not ts.accept("{"):
         return ()
-    ts.next()
     attrs = []
-    while not ts.at_symbol("}"):
+    while not ts.accept("}"):
         name = ts.expect_ident().text
         ts.expect_symbol(":")
         type_tok = ts.expect_ident()
@@ -140,17 +133,14 @@ def _attr_block(ts: TokenStream) -> tuple:
             raise ParseError(f"unknown attribute type '{type_tok.text}'",
                              type_tok.line, type_tok.column)
         attrs.append((name, atype))
-        if ts.at_symbol(","):
-            ts.next()
-    ts.next()
+        ts.accept(",")
     return tuple(attrs)
 
 
 def _skip_multiplicity(ts: TokenStream):
     # multiplicities like (0,*) are accepted and ignored
-    if not ts.at_symbol("("):
+    if not ts.accept("("):
         return
-    ts.next()
     if ts.peek().kind != "NUMBER":
         ts.error("expected a multiplicity lower bound")
     ts.next()
@@ -234,18 +224,15 @@ def _fault(text: str, pos: int, graph: model.Graph, labels):
             element = graph.create_edge(cls.name, tail, _vertex(ts, labels))
     except GraphError as exc:
         raise ParseError(str(exc), class_tok.line, class_tok.column) from None
-    if ts.at_symbol("{"):
-        ts.next()
-        while not ts.at_symbol("}"):
+    if ts.accept("{"):
+        while not ts.accept("}"):
             name = ts.expect_ident()
             ts.expect_symbol("=")
             try:
                 element.set_attr(name.text, _literal(ts))
             except (GraphError, SchemaError) as exc:
                 raise ParseError(str(exc), name.line, name.column) from None
-            if ts.at_symbol(","):
-                ts.next()
-        ts.next()
+            ts.accept(",")
     ts.expect_symbol(";")
     raise AssertionError(f"no fault in the statement at offset {pos}")
 
@@ -263,12 +250,11 @@ def _vertex(ts: TokenStream, labels) -> Vertex:
 
 
 def _literal(ts: TokenStream):
-    if ts.at_symbol("-"):
-        ts.next()
+    if ts.accept("-"):
         if ts.peek().kind != "NUMBER":
             ts.error("expected a number after '-'")
         return -ts.next().value
-    if ts.at_ident("true", "false"):
+    if ts.peek().text in ("true", "false"):
         return ts.next().text == "true"
     if ts.peek().kind not in ("NUMBER", "STRING"):
         ts.error("expected a literal")
@@ -288,7 +274,7 @@ def _value(e: re.Match):
 
 def save_graph(graph: model.Graph) -> str:
     lines = [f"graph {graph.name} conforms {graph.schema.name};\n"]
-    labels = _vertex_labels(graph)
+    labels = vertex_labels(graph)
     lines += [f"{label} : {v.class_name}{_store_text(v)};\n"
               for v, label in labels.items()]
     lines += [f"e{i} : {e.class_name} {labels[e.start]} -> {labels[e.end]}"
@@ -296,12 +282,12 @@ def save_graph(graph: model.Graph) -> str:
     return "".join(lines)
 
 
-def _vertex_labels(graph: model.Graph) -> dict[Vertex, str]:
+def vertex_labels(graph: model.Graph) -> dict[Vertex, str]:
     """Each vertex's positional label, v1, v2, ... in creation order."""
     return {v: f"v{i}" for i, v in enumerate(graph.vertices, 1)}
 
 
-def _assignments(element: model.Element) -> list[str]:
+def assignments(element: model.Element) -> list[str]:
     # an element's store holds every attribute of its class, already in
     # declaration order, inherited ones first
     return [f"{name} = {render_value(value)}"
@@ -311,22 +297,5 @@ def _assignments(element: model.Element) -> list[str]:
 def _store_text(element: model.Element) -> str:
     if not element._attrs:
         return ""
-    return " { " + ", ".join(_assignments(element)) + " }"
+    return " { " + ", ".join(assignments(element)) + " }"
 
-
-def export_dot(graph: model.Graph) -> str:
-    """DOT rendering for inspection: one node per vertex, labeled with
-    class, positional label, and attribute values; one arrow per edge."""
-    lines = ["digraph G {"]
-    labels = _vertex_labels(graph)
-    for v, label in labels.items():
-        text = _dot_escape("\\n".join([v.class_name, label, *_assignments(v)]))
-        lines.append(f'  {label} [label="{text}"];')
-    lines += [f'  {labels[e.start]} -> {labels[e.end]} '
-              f'[label="{_dot_escape(e.class_name)}"];' for e in graph.edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_escape(text: str) -> str:
-    return text.replace('"', '\\"')

@@ -130,9 +130,12 @@ class TokenStream:
         tok = self.peek()
         return tok.kind == "SYMBOL" and tok.text in symbols
 
-    def at_ident(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and (not words or tok.text in words)
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is `text`, a symbol or word."""
+        if self.peek().text != text:
+            return False
+        self._pos += 1
+        return True
 
     def at_eof(self) -> bool:
         return self.peek().kind == "EOF"
@@ -147,10 +150,6 @@ class TokenStream:
         if tok.kind != "IDENT" or (word is not None and tok.text != word):
             self.error(f"expected {word or 'identifier'}")
         return self.next()
-
-    def expect_eof(self):
-        if not self.at_eof():
-            self.error("unexpected trailing input")
 
     def error(self, message: str):
         tok = self.peek()

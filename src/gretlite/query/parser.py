@@ -38,6 +38,7 @@ _REPORT_KINDS = {
 # evaluating the deepest one stays far inside Python's recursion limit.
 MAX_DEPTH = 50
 
+_CONSTANTS = {"true": True, "false": False, "undefined": UNDEFINED}
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 _PATH_ARROWS = {"-->": "out", "<--": "in", "<->": "both", "<>--": "agg"}
 
@@ -65,8 +66,7 @@ class QueryParser:
 
     def _conditional(self):
         cond = self._or()
-        if self.ts.at_symbol("?"):
-            self.ts.next()
+        if self.ts.accept("?"):
             then_expr = self.parse_expression()
             self.ts.expect_symbol(":")
             else_expr = self.parse_expression()
@@ -75,21 +75,18 @@ class QueryParser:
 
     def _or(self):
         left = self._and()
-        while self.ts.at_ident("or"):
-            self.ts.next()
+        while self.ts.accept("or"):
             left = n.Binary("or", left, self._and())
         return left
 
     def _and(self):
         left = self._not()
-        while self.ts.at_ident("and"):
-            self.ts.next()
+        while self.ts.accept("and"):
             left = n.Binary("and", left, self._not())
         return left
 
     def _not(self):
-        if self.ts.at_ident("not"):
-            self.ts.next()
+        if self.ts.accept("not"):
             self._nest()
             node = n.Unary("not", self._not())
             self._depth -= 1
@@ -118,8 +115,7 @@ class QueryParser:
         return left
 
     def _unary(self):
-        if self.ts.at_symbol("-"):
-            self.ts.next()
+        if self.ts.accept("-"):
             self._nest()
             node = n.Unary("neg", self._unary())
             self._depth -= 1
@@ -132,12 +128,10 @@ class QueryParser:
         while True:
             if self.ts.at_symbol(".", "[", *_PATH_ARROWS):
                 self._nest()
-            if self.ts.at_symbol("."):
-                self.ts.next()
+            if self.ts.accept("."):
                 name = self.ts.expect_ident().text
                 node = n.AttrAccess(node, name)
-            elif self.ts.at_symbol("["):
-                self.ts.next()
+            elif self.ts.accept("["):
                 index = self.parse_expression()
                 self.ts.expect_symbol("]")
                 node = n.Index(node, index)
@@ -159,15 +153,9 @@ class QueryParser:
         specs = []
         while True:
             name = self.ts.expect_ident().text
-            exact = False
-            if self.ts.at_symbol("!"):
-                self.ts.next()
-                exact = True
-            specs.append(n.ClassSpec(name, exact))
-            if self.ts.at_symbol(","):
-                self.ts.next()
-                continue
-            break
+            specs.append(n.ClassSpec(name, self.ts.accept("!")))
+            if not self.ts.accept(","):
+                break
         self.ts.expect_symbol("}")
         return tuple(specs)
 
@@ -176,26 +164,18 @@ class QueryParser:
         if tok.kind == "NUMBER" or tok.kind == "STRING":
             self.ts.next()
             return n.Literal(tok.value)
-        if self.ts.at_symbol("$"):
-            self.ts.next()
+        if self.ts.accept("$"):
             return n.DollarRef()
-        if self.ts.at_symbol("("):
-            self.ts.next()
+        if self.ts.accept("("):
             node = self.parse_expression()
             self.ts.expect_symbol(")")
             return node
         if tok.kind != "IDENT":
             self.ts.error("expected an expression")
         word = tok.text
-        if word == "true":
+        if word in _CONSTANTS:
             self.ts.next()
-            return n.Literal(True)
-        if word == "false":
-            self.ts.next()
-            return n.Literal(False)
-        if word == "undefined":
-            self.ts.next()
-            return n.Literal(UNDEFINED)
+            return n.Literal(_CONSTANTS[word])
         if word in ("V", "E"):
             self.ts.next()
             classes = self._class_list() if self.ts.at_symbol("{") else ()
@@ -212,8 +192,7 @@ class QueryParser:
             self.ts.expect_symbol("(")
             args = self._arguments()
             return n.Call(word, classes, args)
-        if self.ts.at_symbol("("):
-            self.ts.next()
+        if self.ts.accept("("):
             args = self._arguments()
             return n.Call(word, None, args)
         if word not in self._bound and not self._external(word):
@@ -224,8 +203,7 @@ class QueryParser:
         args = []
         if not self.ts.at_symbol(")"):
             args.append(self.parse_expression())
-            while self.ts.at_symbol(","):
-                self.ts.next()
+            while self.ts.accept(","):
                 args.append(self.parse_expression())
         self.ts.expect_symbol(")")
         return tuple(args)
@@ -240,10 +218,8 @@ class QueryParser:
                 self.ts.expect_symbol("->")
                 value = self.parse_expression()
                 entries.append((key, value))
-                if self.ts.at_symbol(","):
-                    self.ts.next()
-                    continue
-                break
+                if not self.ts.accept(","):
+                    break
         self.ts.expect_symbol(")")
         return n.MapLit(tuple(entries))
 
@@ -251,12 +227,10 @@ class QueryParser:
         self.ts.expect_ident("from")
         outer = len(self._bound)
         groups = [self._decl_group()]
-        while self.ts.at_symbol(","):
-            self.ts.next()
+        while self.ts.accept(","):
             groups.append(self._decl_group())
         condition = None
-        if self.ts.at_ident("with"):
-            self.ts.next()
+        if self.ts.accept("with"):
             condition = self.parse_expression()
         tok = self.ts.peek()
         if tok.kind != "IDENT" or tok.text not in _REPORT_KINDS:
@@ -268,8 +242,7 @@ class QueryParser:
             exprs = [key, self.parse_expression()]
         else:
             exprs = [self.parse_expression()]
-            while self.ts.at_symbol(","):
-                self.ts.next()
+            while self.ts.accept(","):
                 exprs.append(self.parse_expression())
         self.ts.expect_ident("end")
         del self._bound[outer:]
@@ -312,5 +285,6 @@ def parse_query(text: str, *, extra_names=()):
     stream = TokenStream(tokenize(text))
     expr = QueryParser(
         stream, frozenset(extra_names).__contains__).parse_expression()
-    stream.expect_eof()
+    if not stream.at_eof():
+        stream.error("unexpected trailing input")
     return expr

@@ -31,9 +31,8 @@ _STATEMENT_KEYWORDS = (
 
 def parse_script(text: str) -> ops.Transformation:
     ts = TokenStream(tokenize(text))
-    if not ts.at_ident("transformation"):
+    if not ts.accept("transformation"):
         ts.error("script must start with 'transformation NAME;'")
-    ts.next()
     name = ts.expect_ident().text
     ts.expect_symbol(";")
     statements, lines = [], []
@@ -95,15 +94,13 @@ class _TemplateParser:
 
     def parse(self) -> ops.Template:
         self._chain()
-        while self.ts.at_symbol(","):
-            self.ts.next()
+        while self.ts.accept(","):
             self._chain()
         return ops.Template(tuple(self.aliases.values()), tuple(self.edges))
 
     def _chain(self):
         left = self._endpoint()
-        while self.ts.at_symbol("-->"):
-            self.ts.next()
+        while self.ts.accept("-->"):
             class_name, arch, assigns = self._arrow_body()
             right = self._endpoint()
             self.edges.append(
@@ -112,14 +109,11 @@ class _TemplateParser:
             left = right
 
     def _endpoint(self) -> str:
-        if self.ts.at_symbol("("):
-            self.ts.next()
+        if self.ts.accept("("):
             tok = self.ts.expect_ident()
-            if self.ts.at_symbol(")"):
-                self.ts.next()
+            if self.ts.accept(")"):
                 return self._known(tok)
-            if self.ts.at_symbol(":="):
-                self.ts.next()
+            if self.ts.accept(":="):
                 ref = parse_embedded(self.ts, ops.trace_view)
                 assigns = self._assigns()
                 self.ts.expect_symbol(")")
@@ -140,8 +134,7 @@ class _TemplateParser:
         self.ts.expect_symbol("{")
         class_name = self.ts.expect_ident().text
         arch = None
-        if self.ts.at_symbol("|"):
-            self.ts.next()
+        if self.ts.accept("|"):
             self.ts.expect_ident("arch")
             self.ts.expect_symbol("=")
             arch = parse_embedded(self.ts, ops.trace_view)
@@ -151,8 +144,7 @@ class _TemplateParser:
 
     def _assigns(self) -> tuple:
         assigns = []
-        while self.ts.at_symbol(","):
-            self.ts.next()
+        while self.ts.accept(","):
             name = self.ts.expect_ident().text
             self.ts.expect_symbol("=")
             assigns.append((name, parse_embedded(self.ts, ops.trace_view)))

@@ -508,11 +508,9 @@ def _literal(ts: TokenStream):
         if num.kind != "NUMBER":
             ts.error("expected a number after '-'")
         return -ts.next().value
-    if ts.at_ident("true"):
-        ts.next()
+    if ts.accept("true"):
         return True
-    if ts.at_ident("false"):
-        ts.next()
+    if ts.accept("false"):
         return False
     ts.error("expected a literal")
 

@@ -371,7 +371,7 @@ print(sum(Path(module.__file__).read_text(encoding="utf-8").count("\\n")
 # Each process compiles every line of the gretlite modules it loads.  A
 # change that loads fewer lowers this number, as it lowers CI's source
 # budget.
-QUERY_RUN_LINES = 2687
+QUERY_RUN_LINES = 2584
 
 
 def test_query_run_loads_at_most_its_line_budget():
@@ -411,6 +411,139 @@ def test_no_run_imports_dataclasses_or_inspect(workdir):
         capture_output=True, text=True, env=env, cwd=workdir, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[[], [], [], []]"
+
+
+_QUERY = ["query", "graph1.gls", "sample1.glg", "04-count-nodes.grq"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (_IN_PLACE, 0, ""), (_QUERY, 1, "error: standard output is closed\n")])
+def test_closed_stdout_fails_only_a_run_that_prints(workdir, capsys,
+                                                    monkeypatch, argv, code,
+                                                    err):
+    monkeypatch.chdir(workdir)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)
+        assert main(argv) == code
+    assert capsys.readouterr().err == err
+    if code == 0:
+        assert (workdir / "out.glg").read_text(encoding="utf-8") == \
+            corpus.read_text("golden/09-out.glg")
+
+
+# The exit path of `run`: each test starts `python -m gretlite.cli` (or the
+# module through runpy) as its own process.
+
+def _process(argv, cwd, python=(), unbuffered=False, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *python, *argv], cwd=cwd, env=env,
+                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+def test_large_output_arrives_whole_through_a_pipe(workdir, capsys,
+                                                   monkeypatch):
+    (workdir / "big.grq").write_text(
+        "from a, b, c, d : V report tup(a, b, c, d) end\n", encoding="utf-8")
+    argv = ["query", "graph1.gls", "sample1.glg", "big.grq"]
+    run = _process(["-m", "gretlite.cli", *argv], workdir)
+    assert run.returncode == 0, run.stderr
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    assert len(expected) > 64 * 1024
+    assert run.stdout == expected
+
+
+def test_output_files_are_complete(workdir):
+    argv = ["transform", "09-reverse-edges.grt", "graph1.gls",
+            "--source", "sample1.glg", "--in-place", "--out", "out.glg",
+            "--trace", "trace.txt", "--dot", "out.dot"]
+    run = _process(["-m", "gretlite.cli", *argv], workdir)
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"")
+    assert (workdir / "out.glg").read_text(encoding="utf-8") == \
+        corpus.read_text("golden/09-out.glg")
+    assert (workdir / "trace.txt").read_text(encoding="utf-8") == ""
+    assert (workdir / "out.dot").read_text(encoding="utf-8") == \
+        SAMPLE1_REVERSED_DOT
+    run = _process(["-m", "gretlite.cli", "transform",
+                    "01-create-greeting.grt", "hello.gls", "--out", "01.glg",
+                    "--trace", "01.txt"], workdir)
+    assert run.returncode == 0, run.stderr
+    assert (workdir / "01.txt").read_text(encoding="utf-8") == \
+        corpus.read_text("golden/01-trace.txt")
+
+
+@pytest.mark.parametrize("query, code, out, err", [
+    ("count(V{Node})", 0, b"6\n", b""),
+    ("from x", 1, b"", b"error: expected ':', found 'end of input' "
+     b"(line 1, column 7)\n"),
+])
+def test_exit_codes_of_a_process(workdir, query, code, out, err):
+    (workdir / "q.grq").write_text(query, encoding="utf-8")
+    run = _process(["-m", "gretlite.cli", "query", "graph1.gls",
+                    "sample1.glg", "q.grq"], workdir)
+    assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (_IN_PLACE, 0, b""), (_QUERY, 1, b"error: standard output is closed\n")])
+def test_closed_stdout_of_a_process(workdir, argv, code, err):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
+                          "-m", "gretlite.cli", *argv], cwd=workdir, env=env,
+                         stderr=subprocess.PIPE, timeout=60)
+    assert (run.returncode, run.stderr) == (code, err)
+
+
+_ATEXIT = """
+import atexit, runpy, sys
+atexit.register(print, "atexit callback ran")
+runpy.run_module("gretlite.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_atexit_callbacks_run_and_their_output_is_flushed(workdir,
+                                                          unbuffered):
+    run = _process(["-c", _ATEXIT, *_QUERY], workdir, unbuffered=unbuffered)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, b"6\natexit callback ran\n", b"")
+
+
+_LEFT_OPEN = """
+import runpy, sys
+class Holder:
+    pass
+holder = Holder()
+holder.cycle, holder.file = holder, open(sys.executable, "rb")
+runpy.run_module("gretlite.cli", run_name="__main__")
+"""
+
+
+def test_development_mode_shuts_down_and_reports_open_files(workdir):
+    run = _process(["-c", _LEFT_OPEN, *_QUERY], workdir, python=("-X", "dev"))
+    assert (run.returncode, run.stdout) == (0, b"6\n")
+    assert b"ResourceWarning: unclosed file" in run.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_disk_on_stdout_reports_as_before(workdir, unbuffered):
+    with open("/dev/full", "wb") as full:
+        run = _process(["-m", "gretlite.cli", *_QUERY], workdir,
+                       unbuffered=unbuffered, stdout=full)
+    if unbuffered:  # the write in `main` fails
+        assert (run.returncode, run.stderr) == (
+            1, b"error: [Errno 28] No space left on device\n")
+    else:  # the flush fails, and the normal shutdown reports it
+        assert run.returncode == 120
+        first, *rest = run.stderr.decode().splitlines()
+        assert first.startswith("Exception ignored")
+        assert rest == ["OSError: [Errno 28] No space left on device"]
 
 
 def test_trace_clash_report_ignores_hash_seed(tmp_path):

@@ -7,13 +7,9 @@ import pytest
 
 from gretlite import corpus
 from gretlite.errors import ParseError
-from gretlite.formats import (
-    export_dot,
-    load_graph,
-    load_schema,
-    save_graph,
-)
+from gretlite.formats import load_graph, load_schema, save_graph
 from gretlite.model import AttrType, EdgeClass, Graph, VertexClass
+from gretlite.transform.command import export_dot
 from gretlite.transform.engine import execute
 from gretlite.transform.parser import parse_script
 
