@@ -3,21 +3,24 @@
 `cmd_query(args, read)` and `transform.command.cmd_transform(args, read)`
 read every input through `read(path) -> text` and return their outputs as
 `(path, text)` pairs, the path None standing for standard output.  `main`
-reads from disk, writes the files (all or none) and prints the rest, and
-returns the exit code; the corpus runs the same commands in memory.
+reads from disk, writes the files (all or none), prints and flushes the
+rest, and returns the exit code; the corpus runs the same commands in
+memory.
 
 Exit codes: 0 success, 1 user error (bad arguments, missing files, parse
-or execution errors, output that cannot be printed, failing corpus
-tasks), 2 internal error.
+or execution errors, output that cannot be printed, buffered or not,
+failing corpus tasks), 2 internal error.
 
 `run` is the process entry point, for `python -m gretlite.cli` and the
 `gretlite` script.  When `main` returns, `run` calls the atexit callbacks,
 flushes standard output and error, and ends the process with `os._exit`,
 which skips the interpreter's teardown of every module and object.  If a
-flush fails, it calls `sys.exit` instead, so that the normal shutdown
-reports the broken pipe or full disk as before.  Under `-X dev` the
-process always shuts down normally, so files left open are reported and
-`python -X dev -m cProfile -m gretlite.cli ...` prints its profile.
+flush fails after `main` succeeded, it calls `sys.exit` instead, so that
+the normal shutdown reports what the callbacks could not print; after a
+failed `main` (whose failed flush fails again) the exit code stands.
+Under `-X dev` the process always shuts down normally, so files left open
+are reported and `python -X dev -m cProfile -m gretlite.cli ...` prints
+its profile.
 """
 
 from __future__ import annotations
@@ -98,8 +101,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "corpus":
             from gretlite.corpus import cmd_corpus
-            return cmd_corpus(args)
-        outputs = args.fn(args, _read)
+            code, outputs = cmd_corpus(args)
+        else:
+            code, outputs = 0, args.fn(args, _read)
         files = [out for out in outputs if out[0] is not None]
         if files:
             from gretlite.transform.command import write_all
@@ -108,7 +112,8 @@ def main(argv=None) -> int:
             if sys.stdout is None:
                 raise UsageError("standard output is closed")
             sys.stdout.write(printed)
-        return 0
+            sys.stdout.flush()
+        return code
     except (GretliteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -126,9 +131,10 @@ def run():
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:
                     stream.flush()
-            os._exit(code)
         except (OSError, ValueError):
-            pass  # `sys.exit` flushes again and reports the failure
+            if code == 0:
+                sys.exit(code)
+        os._exit(code)
     sys.exit(code)
 
 

@@ -125,13 +125,13 @@ def run_corpus(root=None, only: int | None = None) -> list[TaskResult]:
     return results
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> tuple[int, list[tuple[None, str]]]:
+    """The exit code of a corpus run and its report, to be printed."""
     results = run_corpus(only=args.task)
     if not results:
         raise UsageError(f"no such task: {args.task}")
-    for r in results:
-        status = "PASS" if r.passed else f"FAIL ({r.failure})"
-        print(f"Task {r.number:2d} {r.title}: {status}")
+    lines = [f"Task {r.number:2d} {r.title}: "
+             + ("PASS" if r.passed else f"FAIL ({r.failure})") for r in results]
     passed = sum(r.passed for r in results)
-    print(f"{passed}/{len(results)} tasks passed")
-    return 0 if passed == len(results) else 1
+    lines.append(f"{passed}/{len(results)} tasks passed\n")
+    return int(passed != len(results)), [(None, "\n".join(lines))]

@@ -83,30 +83,21 @@ def _class_decl(ts: TokenStream, schema: model.Schema):
         ts.error("'aggregation' applies to edge classes only")
     if ts.peek().text not in ("vertexclass", "edgeclass"):
         ts.error("expected a class declaration")
-    is_vertex_class = ts.next().text == "vertexclass"
+    kind = ts.next().text
     name = ts.expect_ident().text
-    supers = _supertypes(ts)
-    if is_vertex_class:
-        attrs = _attr_block(ts)
-        ts.expect_symbol(";")
-        define = lambda: schema.define_vertex_class(
-            name, is_abstract=is_abstract, supertypes=supers, attributes=attrs
-        )
-    else:
-        ts.expect_ident("from")
-        from_class = ts.expect_ident().text
-        _skip_multiplicity(ts)
-        ts.expect_ident("to")
-        to_class = ts.expect_ident().text
-        _skip_multiplicity(ts)
-        attrs = _attr_block(ts)
-        ts.expect_symbol(";")
-        define = lambda: schema.define_edge_class(
-            name, from_class, to_class, is_abstract=is_abstract,
-            supertypes=supers, is_aggregation=is_aggregation, attributes=attrs,
-        )
+    fields = {"is_abstract": is_abstract, "supertypes": _supertypes(ts)}
+    define = schema.define_vertex_class
+    if kind == "edgeclass":
+        define = schema.define_edge_class
+        for end in ("from", "to"):
+            ts.expect_ident(end)
+            fields[f"{end}_class"] = ts.expect_ident().text
+            _skip_multiplicity(ts)
+        fields["is_aggregation"] = is_aggregation
+    fields["attributes"] = _attr_block(ts)
+    ts.expect_symbol(";")
     try:
-        define()
+        define(name, **fields)
     except SchemaError as exc:
         raise ParseError(str(exc), tok.line, tok.column) from None
 

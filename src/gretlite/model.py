@@ -151,75 +151,72 @@ class Schema:
 
     def define_vertex_class(self, name: str, *, is_abstract: bool = False,
                             supertypes=(), attributes=()) -> VertexClass:
-        supertypes = tuple(supertypes)
-        attributes = tuple((a, t) for a, t in attributes)
-        self._check_header(name, supertypes, kind=VertexClass)
-        cls = VertexClass(name, is_abstract, supertypes, attributes)
-        self._register(cls)
-        return cls
+        return self._define(VertexClass(
+            name, is_abstract, tuple(supertypes),
+            tuple((a, t) for a, t in attributes)))
 
     def define_edge_class(self, name: str, from_class: str, to_class: str, *,
                           is_abstract: bool = False, supertypes=(),
                           is_aggregation: bool = False,
                           attributes=()) -> EdgeClass:
-        supertypes = tuple(supertypes)
-        attributes = tuple((a, t) for a, t in attributes)
-        self._check_header(name, supertypes, kind=EdgeClass)
-        for endpoint in (from_class, to_class):
-            if not isinstance(self._classes.get(endpoint), VertexClass):
-                raise SchemaError(f"edge class '{name}' endpoint '{endpoint}'"
-                                  " is not a defined vertex class")
-        cls = EdgeClass(name, from_class, to_class, is_abstract, supertypes,
-                        is_aggregation, attributes)
-        self._register(cls)
-        return cls
+        return self._define(EdgeClass(
+            name, from_class, to_class, is_abstract, tuple(supertypes),
+            is_aggregation, tuple((a, t) for a, t in attributes)))
 
-    def _check_header(self, name, supertypes, kind):
+    def _define(self, cls):
+        """Check a new class record, then enter it with its flattened
+        attributes, their defaults and its closures."""
+        name = cls.name
         if name in self._classes:
             raise SchemaError(f"duplicate class name '{name}'")
-        if name in supertypes:
+        if name in cls.supertypes:
             raise SchemaError(f"inheritance cycle: '{name}' extends itself")
-        for sup in supertypes:
-            cls = self._classes.get(sup)
-            if cls is None:
+        for sup in cls.supertypes:
+            sup_cls = self._classes.get(sup)
+            if sup_cls is None:
                 raise SchemaError(f"unknown supertype '{sup}' of '{name}'")
-            if not isinstance(cls, kind):
+            if not isinstance(sup_cls, type(cls)):
                 raise SchemaError(
                     f"supertype '{sup}' of '{name}' is of the wrong kind"
                 )
-
-    def _register(self, cls):
+        if isinstance(cls, EdgeClass):
+            for endpoint in (cls.from_class, cls.to_class):
+                if not isinstance(self._classes.get(endpoint), VertexClass):
+                    raise SchemaError(
+                        f"edge class '{name}' endpoint '{endpoint}' is not a "
+                        "defined vertex class")
         merged: dict[str, tuple[str, AttrType]] = {}
         for sup in cls.supertypes:
             for attr, (owner, atype) in self._flat[sup].items():
                 prev = merged.get(attr)
                 if prev is not None and prev[0] != owner:
                     raise SchemaError(
-                        f"class '{cls.name}' inherits attribute '{attr}' from "
+                        f"class '{name}' inherits attribute '{attr}' from "
                         f"both '{prev[0]}' and '{owner}'"
                     )
                 merged[attr] = (owner, atype)
         for attr, atype in cls.attributes:
             if not isinstance(atype, AttrType):
                 raise SchemaError(
-                    f"attribute '{attr}' of '{cls.name}' has no valid type"
+                    f"attribute '{attr}' of '{name}' has no valid type"
                 )
             if attr in merged:
                 raise SchemaError(
-                    f"attribute '{attr}' redeclared in '{cls.name}' "
+                    f"attribute '{attr}' redeclared in '{name}' "
                     f"(already declared by '{merged[attr][0]}')"
                 )
-            merged[attr] = (cls.name, atype)
-        self._classes[cls.name] = cls
-        self._flat[cls.name] = merged
-        self._defaults[cls.name] = {
+            merged[attr] = (name, atype)
+        self._classes[name] = cls
+        self._flat[name] = merged
+        self._defaults[name] = {
             a: _DEFAULTS[t] for a, (_, t) in merged.items()}
-        supers = frozenset({cls.name}).union(
+        supers = frozenset({name}).union(
             *(self._supers[sup] for sup in cls.supertypes))
-        self._supers[cls.name] = supers
-        self._subs[cls.name] = ()
+        self._supers[name] = supers
+        self._subs[name] = ()
         for sup in supers:
-            self._subs[sup] += (cls.name,)
+            self._subs[sup] += (name,)
+        return cls
 
 
 class Element:

@@ -1,12 +1,13 @@
 """Recursive-descent parser for the query language.
 
-The grammar is the one this module implements: `QueryParser` has one
-method per precedence level (listed above `parse_expression`), tokens come
-from `gretlite.lexer`, and the AST node types are in `gretlite.query.nodes`.
-The parser works on a shared TokenStream so transformation scripts can
-embed queries directly.  Scope is checked at each identifier: a group's
-names are bound from the end of its domain to its comprehension's `end`,
-and any other name that is not external is a ParseError at it.
+The grammar is the one this module implements: `_LEVELS` is the table
+of operator precedence levels, which the one method `QueryParser._binary`
+reads, a frame per level; tokens come from `gretlite.lexer`, and the AST
+node types are in `gretlite.query.nodes`.  The parser works on a shared
+TokenStream so transformation scripts can embed queries directly.  Scope
+is checked at each identifier: a group's names are bound from the end of
+its domain to its comprehension's `end`, and any other name that is not
+external is a ParseError at it.
 
 Nesting is bounded: every nested expression, prefix operator and postfix
 operator counts one level, and an expression deeper than MAX_DEPTH is a
@@ -41,6 +42,16 @@ MAX_DEPTH = 50
 _CONSTANTS = {"true": True, "false": False, "undefined": UNDEFINED}
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 _PATH_ARROWS = {"-->": "out", "<--": "in", "<->": "both", "<>--": "agg"}
+_POSTFIX = (".", "[", *_PATH_ARROWS)
+
+# The operator precedence levels, loosest first, between `?:` (read by
+# `parse_expression`) and the postfix operators.  A tuple of binary
+# operators is left-associative, except that comparisons do not chain; a
+# string is a prefix operator, whose operand is read at its own level.
+# Operators are found by token text alone: only SYMBOL tokens carry a
+# symbol's text, and only IDENT tokens `or`, `and` or `not`.
+_LEVELS = (("or",), ("and",), "not", _COMPARISONS, ("+", "-", "++"),
+           ("*", "/", "%"), "-")
 
 
 class QueryParser:
@@ -55,101 +66,59 @@ class QueryParser:
         if self._depth > MAX_DEPTH:
             self.ts.error(f"expression nested more than {MAX_DEPTH} levels deep")
 
-    # precedence, loosest first:
-    # conditional > or > and > not > comparison > additive > mult > unary > postfix
-
     def parse_expression(self):
         self._nest()
-        expr = self._conditional()
-        self._depth -= 1
-        return expr
-
-    def _conditional(self):
-        cond = self._or()
+        expr = self._binary(0)
         if self.ts.accept("?"):
             then_expr = self.parse_expression()
             self.ts.expect_symbol(":")
-            else_expr = self.parse_expression()
-            return n.Conditional(cond, then_expr, else_expr)
-        return cond
+            expr = n.Conditional(expr, then_expr, self.parse_expression())
+        self._depth -= 1
+        return expr
 
-    def _or(self):
-        left = self._and()
-        while self.ts.accept("or"):
-            left = n.Binary("or", left, self._and())
-        return left
-
-    def _and(self):
-        left = self._not()
-        while self.ts.accept("and"):
-            left = n.Binary("and", left, self._not())
-        return left
-
-    def _not(self):
-        if self.ts.accept("not"):
+    def _binary(self, level: int):
+        """An expression whose operators bind at `level` or tighter."""
+        if level == len(_LEVELS):
+            return self._postfix()
+        ops = _LEVELS[level]
+        if isinstance(ops, str):
+            if not self.ts.accept(ops):
+                return self._binary(level + 1)
             self._nest()
-            node = n.Unary("not", self._not())
+            node = n.Unary("neg" if ops == "-" else ops, self._binary(level))
             self._depth -= 1
             return node
-        return self._comparison()
-
-    def _comparison(self):
-        left = self._additive()
-        if self.ts.at_symbol(*_COMPARISONS):
+        left = self._binary(level + 1)
+        while self.ts.peek().text in ops:
             op = self.ts.next().text
-            return n.Binary(op, left, self._additive())
+            left = n.Binary(op, left, self._binary(level + 1))
+            if ops is _COMPARISONS:
+                break
         return left
-
-    def _additive(self):
-        left = self._multiplicative()
-        while self.ts.at_symbol("+", "-", "++"):
-            op = self.ts.next().text
-            left = n.Binary(op, left, self._multiplicative())
-        return left
-
-    def _multiplicative(self):
-        left = self._unary()
-        while self.ts.at_symbol("*", "/", "%"):
-            op = self.ts.next().text
-            left = n.Binary(op, left, self._unary())
-        return left
-
-    def _unary(self):
-        if self.ts.accept("-"):
-            self._nest()
-            node = n.Unary("neg", self._unary())
-            self._depth -= 1
-            return node
-        return self._postfix()
 
     def _postfix(self):
         node = self._primary()
         depth = self._depth
-        while True:
-            if self.ts.at_symbol(".", "[", *_PATH_ARROWS):
-                self._nest()
+        while self.ts.peek().text in _POSTFIX:
+            self._nest()
             if self.ts.accept("."):
-                name = self.ts.expect_ident().text
-                node = n.AttrAccess(node, name)
+                node = n.AttrAccess(node, self.ts.expect_ident().text)
             elif self.ts.accept("["):
-                index = self.parse_expression()
+                node = n.Index(node, self.parse_expression())
                 self.ts.expect_symbol("]")
-                node = n.Index(node, index)
-            elif self.ts.at_symbol(*_PATH_ARROWS):
-                steps = []
-                while self.ts.at_symbol(*_PATH_ARROWS):
-                    direction = _PATH_ARROWS[self.ts.next().text]
-                    classes = ()
-                    if self.ts.at_symbol("{"):
-                        classes = self._class_list()
-                    steps.append(n.PathStep(direction, classes))
-                node = n.PathApply(node, tuple(steps))
             else:
-                self._depth = depth
-                return node
+                steps = []
+                while self.ts.peek().text in _PATH_ARROWS:
+                    direction = _PATH_ARROWS[self.ts.next().text]
+                    steps.append(n.PathStep(direction, self._class_list()))
+                node = n.PathApply(node, tuple(steps))
+        self._depth = depth
+        return node
 
     def _class_list(self) -> tuple[n.ClassSpec, ...]:
-        self.ts.expect_symbol("{")
+        """The `{...}` class list that comes next, or () if none does."""
+        if not self.ts.accept("{"):
+            return ()
         specs = []
         while True:
             name = self.ts.expect_ident().text
@@ -178,50 +147,42 @@ class QueryParser:
             return n.Literal(_CONSTANTS[word])
         if word in ("V", "E"):
             self.ts.next()
-            classes = self._class_list() if self.ts.at_symbol("{") else ()
-            return n.ElementSet(word, classes)
+            return n.ElementSet(word, self._class_list())
         if word == "from":
             return self._comprehension()
         if word in RESERVED:
             self.ts.error(f"unexpected '{word}'")
         if word == "map" and self.ts.peek(1).text == "(":
-            return self._map_literal()
+            self.ts.next()
+            self.ts.next()
+            return n.MapLit(self._arguments(self._map_entry))
         self.ts.next()
         if self.ts.at_symbol("{"):
             classes = self._class_list()
             self.ts.expect_symbol("(")
-            args = self._arguments()
-            return n.Call(word, classes, args)
-        if self.ts.accept("("):
-            args = self._arguments()
-            return n.Call(word, None, args)
-        if word not in self._bound and not self._external(word):
-            raise ParseError(f"unbound variable '{word}'", tok.line, tok.column)
-        return n.VarRef(word)
+        elif self.ts.accept("("):
+            classes = None
+        else:
+            if word not in self._bound and not self._external(word):
+                raise ParseError(f"unbound variable '{word}'", tok.line,
+                                 tok.column)
+            return n.VarRef(word)
+        return n.Call(word, classes, self._arguments(self.parse_expression))
 
-    def _arguments(self) -> tuple:
-        args = []
+    def _arguments(self, item) -> tuple:
+        """`item`s separated by ',' up to a ')', which it consumes."""
+        items = []
         if not self.ts.at_symbol(")"):
-            args.append(self.parse_expression())
+            items.append(item())
             while self.ts.accept(","):
-                args.append(self.parse_expression())
+                items.append(item())
         self.ts.expect_symbol(")")
-        return tuple(args)
+        return tuple(items)
 
-    def _map_literal(self):
-        self.ts.next()  # map
-        self.ts.expect_symbol("(")
-        entries = []
-        if not self.ts.at_symbol(")"):
-            while True:
-                key = self.parse_expression()
-                self.ts.expect_symbol("->")
-                value = self.parse_expression()
-                entries.append((key, value))
-                if not self.ts.accept(","):
-                    break
-        self.ts.expect_symbol(")")
-        return n.MapLit(tuple(entries))
+    def _map_entry(self) -> tuple:
+        key = self.parse_expression()
+        self.ts.expect_symbol("->")
+        return key, self.parse_expression()
 
     def _comprehension(self):
         self.ts.expect_ident("from")
@@ -232,14 +193,12 @@ class QueryParser:
         condition = None
         if self.ts.accept("with"):
             condition = self.parse_expression()
-        tok = self.ts.peek()
-        if tok.kind != "IDENT" or tok.text not in _REPORT_KINDS:
+        kind = _REPORT_KINDS.get(self.ts.peek().text)
+        if kind is None:
             self.ts.error("expected a report clause")
-        kind = _REPORT_KINDS[self.ts.next().text]
+        self.ts.next()
         if kind == "map":
-            key = self.parse_expression()
-            self.ts.expect_symbol("->")
-            exprs = [key, self.parse_expression()]
+            exprs = self._map_entry()
         else:
             exprs = [self.parse_expression()]
             while self.ts.accept(","):

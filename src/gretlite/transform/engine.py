@@ -38,6 +38,9 @@ from gretlite.values import (OrderedSet, ValueMap, is_collection, leaves,
 
 ROUND_LIMIT = 1_000
 
+# the ops that rewrite or delete what their queries read
+_IN_PLACE_ONLY = (ops.MatchReplace, ops.Delete, ops.Iteratively)
+
 _MISSING = object()
 
 
@@ -189,6 +192,9 @@ def execute(transformation: ops.Transformation,
 
 
 def _run_op(ctx: ExecutionResult, op) -> int:
+    if ctx.graph is not ctx.source and isinstance(op, _IN_PLACE_ONLY):
+        raise TransformError(
+            f"{type(op).__name__} requires in-place execution")
     return _RUN[type(op)](ctx, op)
 
 
@@ -291,8 +297,6 @@ def _instantiate(ctx, template: ops.Template, aliases: dict, dollar):
 
 
 def _match_replace(ctx, op: ops.MatchReplace) -> int:
-    if ctx.graph is not ctx.source:
-        raise TransformError("MatchReplace requires in-place execution")
     matches = _require_set(ctx.eval(op.query), "MatchReplace")
     touched: set[model.Element] = set()
     applied = 0
@@ -329,8 +333,6 @@ def _match_replace(ctx, op: ops.MatchReplace) -> int:
 
 
 def _delete(ctx, op: ops.Delete) -> int:
-    if ctx.graph is not ctx.source:
-        raise TransformError("Delete requires in-place execution")
     value = ctx.eval(op.query)
     if not is_collection(value):
         raise TransformError("Delete expects its query to yield a collection")
@@ -358,8 +360,6 @@ def _delete_all(ctx, elements) -> list[model.Element]:
 
 
 def _iteratively(ctx, op: ops.Iteratively) -> int:
-    if ctx.graph is not ctx.source:
-        raise TransformError("Iteratively requires in-place execution")
     rounds = 0
     while True:
         rounds += 1

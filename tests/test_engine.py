@@ -325,8 +325,10 @@ class TestMatchReplace:
 
     def test_requires_in_place(self, graph1_schema, sample1):
         s = script("MatchReplace (a := $[0]) <== set();")
-        with pytest.raises(TransformError, match="in-place"):
+        with pytest.raises(TransformError) as info:
             execute(s, sample1, target_schema=graph1_schema)
+        assert str(info.value) == ("op 1: MatchReplace requires in-place "
+                                   "execution (line 2)")
 
     def test_attribute_assignment_on_preserved(self, graph1_schema):
         g, n1, n2, ev = one_conceptual_edge(graph1_schema)
@@ -398,9 +400,11 @@ class TestDelete:
             execute(script("Delete 1;"), sample1, in_place=True)
 
     def test_requires_in_place(self, graph1_schema, sample1):
-        with pytest.raises(TransformError, match="in-place"):
+        with pytest.raises(TransformError) as info:
             execute(script("Delete set();"), sample1,
                     target_schema=graph1_schema)
+        assert str(info.value) == ("op 1: Delete requires in-place "
+                                   "execution (line 2)")
 
 
 class TestIteratively:
@@ -428,9 +432,11 @@ class TestIteratively:
             execute(s, sample1, in_place=True)
 
     def test_requires_in_place(self, graph1_schema, sample1):
-        with pytest.raises(TransformError, match="in-place"):
+        with pytest.raises(TransformError) as info:
             execute(script("Iteratively { Delete set(); }"),
                     sample1, target_schema=graph1_schema)
+        assert str(info.value) == ("op 1: Iteratively requires in-place "
+                                   "execution (line 2)")
 
 
 class TestExecutionShell:

@@ -1,4 +1,8 @@
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gretlite.errors import ParseError
 from gretlite.lexer import TokenStream, tokenize
@@ -165,3 +169,151 @@ def test_trailing_input_rejected():
 def test_reserved_words_cannot_be_declared():
     with pytest.raises(ParseError, match="reserved"):
         parse_query("from end : V{Node} report end end")
+
+
+# The operator grammar, pinned level by level: each pair of adjacent
+# precedence levels, associativity, and the prefix operators.
+
+def _a(name):
+    return n.VarRef(name)
+
+
+@pytest.mark.parametrize("text, ast", [
+    ("a or b ? c : d",
+     n.Conditional(n.Binary("or", _a("a"), _a("b")), _a("c"), _a("d"))),
+    ("a or b and c",
+     n.Binary("or", _a("a"), n.Binary("and", _a("b"), _a("c")))),
+    ("a or b or c",
+     n.Binary("or", n.Binary("or", _a("a"), _a("b")), _a("c"))),
+    ("not a and b",
+     n.Binary("and", n.Unary("not", _a("a")), _a("b"))),
+    ("not a = b",
+     n.Unary("not", n.Binary("=", _a("a"), _a("b")))),
+    ("a + b = c",
+     n.Binary("=", n.Binary("+", _a("a"), _a("b")), _a("c"))),
+    ("a + b * c",
+     n.Binary("+", _a("a"), n.Binary("*", _a("b"), _a("c")))),
+    ("a - b - c",
+     n.Binary("-", n.Binary("-", _a("a"), _a("b")), _a("c"))),
+    ("a / b % c",
+     n.Binary("%", n.Binary("/", _a("a"), _a("b")), _a("c"))),
+    ("- a * b",
+     n.Binary("*", n.Unary("neg", _a("a")), _a("b"))),
+    ("- a.b",
+     n.Unary("neg", n.AttrAccess(_a("a"), "b"))),
+    ("- - a", n.Unary("neg", n.Unary("neg", _a("a")))),
+    ("not not a", n.Unary("not", n.Unary("not", _a("a")))),
+    ("a ? b : c ? d : e",
+     n.Conditional(_a("a"), _a("b"), n.Conditional(_a("c"), _a("d"),
+                                                   _a("e")))),
+])
+def test_operator_levels(text, ast):
+    assert parse_query(text, extra_names="abcde") == ast
+
+
+def test_comparisons_do_not_chain():
+    with pytest.raises(ParseError) as info:
+        parse_query("a = b = c", extra_names="abc")
+    assert str(info.value) == \
+        "unexpected trailing input, found '=' (line 1, column 7)"
+
+
+# The precedence of each operator, loosest 0: binary operators associate
+# to the left except comparisons, which do not chain, and a prefix
+# operator's operand is read at its own level.
+_PREFIX = {"not": 2, "neg": 6}
+_COMPARISON = 3
+_BINARY = {"or": 0, "and": 1,
+           **dict.fromkeys(("=", "<>", "<", "<=", ">", ">="), _COMPARISON),
+           "+": 4, "-": 4, "++": 4, "*": 5, "/": 5, "%": 5}
+
+
+def _literal(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _spelled(node, full, loosest=0):
+    """`node` as query text: every operator parenthesised if `full`, else
+    parenthesised only where the table above needs it."""
+    if isinstance(node, n.Literal):
+        return _literal(node.value)
+    if isinstance(node, n.Unary):
+        level = _PREFIX[node.op]
+        sign = "-" if node.op == "neg" else node.op
+        text = f"{sign} {_spelled(node.operand, full, level)}"
+    else:
+        level = _BINARY[node.op]
+        left = level + (level == _COMPARISON)
+        text = (f"{_spelled(node.left, full, left)} {node.op} "
+                f"{_spelled(node.right, full, level + 1)}")
+    return f"({text})" if full or level < loosest else text
+
+
+def _height(node):
+    if isinstance(node, n.Literal):
+        return 0
+    if isinstance(node, n.Unary):
+        return 1 + _height(node.operand)
+    return 1 + max(_height(node.left), _height(node.right))
+
+
+# a level first, then one of its operators, so that every pair of levels
+# meets as often as any other
+_BINARY_OPS = st.sampled_from(sorted(set(_BINARY.values()))).flatmap(
+    lambda level: st.sampled_from(
+        [op for op, op_level in _BINARY.items() if op_level == level]))
+_OPERATOR_ASTS = st.recursive(
+    st.builds(n.Literal, st.integers(0, 9) | st.booleans()),
+    lambda sub: st.builds(n.Unary, st.sampled_from(sorted(_PREFIX)), sub)
+    | st.builds(n.Binary, _BINARY_OPS, sub, sub),
+    max_leaves=12,
+).filter(lambda node: _height(node) <= 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERATOR_ASTS)
+def test_operator_asts_round_trip(ast):
+    assert parse_query(_spelled(ast, full=True)) == ast
+    assert parse_query(_spelled(ast, full=False)) == ast
+
+
+def _frames(text, names=()):
+    """The deepest Python call stack that parsing `text` builds, counted
+    from `parse_query`'s own frame."""
+    depth = peak = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, peak
+        if event == "call":
+            depth += 1
+            peak = max(peak, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        parse_query(text, extra_names=names)
+    finally:
+        sys.setprofile(None)
+    return peak
+
+
+# (nesting form, deepest accepted count, frames): parsing the deepest
+# query takes at most `frames` Python frames, the count of the parser that
+# had one method per precedence level (about 11 frames a parenthesis, 2 a
+# `?:`; the table-driven parser takes 1 a `?:`)
+@pytest.mark.parametrize("form, deepest, frames", [
+    (lambda k: "(" * k + "1" + ")" * k, 49, 553),
+    (lambda k: "not " * k + "true", 49, 63),
+    (lambda k: "- " * k + "1", 49, 63),
+    (lambda k: "true ? " * k + "1" + " : 2" * k, 49, 112),
+    (lambda k: "true ? 1 : " * k + "2", 49, 112),
+    (lambda k: "x" + ".a" * k, 49, 14),
+], ids=["parentheses", "not", "neg", "then", "else", "postfix"])
+def test_deepest_nesting_stays_within_its_stack(form, deepest, frames):
+    parse_query(form(deepest), extra_names="x")
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_query(form(deepest + 1), extra_names="x")
+    assert _frames(form(deepest), "x") <= frames
