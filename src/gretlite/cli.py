@@ -1,32 +1,21 @@
 """Command-line driver: query evaluation, script execution, corpus runs.
 
 `cmd_query(args, read)` and `transform.command.cmd_transform(args, read)`
-read every input through `read(path) -> text` and return their outputs as
-`(path, text)` pairs, the path None standing for standard output.  `main`
-reads from disk, writes the files (all or none), prints and flushes the
-rest, and returns the exit code; the corpus runs the same commands in
-memory.
-
-Exit codes: 0 success, 1 user error (bad arguments, missing files, parse
-or execution errors, output that cannot be printed, buffered or not,
-failing corpus tasks), 2 internal error.
-
-`run` is the process entry point, for `python -m gretlite.cli` and the
-`gretlite` script.  When `main` returns, `run` calls the atexit callbacks,
-flushes standard output and error, and ends the process with `os._exit`,
-which skips the interpreter's teardown of every module and object.  If a
-flush fails after `main` succeeded, it calls `sys.exit` instead, so that
-the normal shutdown reports what the callbacks could not print; after a
-failed `main` (whose failed flush fails again) the exit code stands.
-Under `-X dev` the process always shuts down normally, so files left open
-are reported and `python -X dev -m cProfile -m gretlite.cli ...` prints
-its profile.
+read every input through `read(path) -> text` and return `(path, text)`
+outputs, None standing for standard output.  `main` reads from disk,
+writes the files (all or none), prints and flushes the rest, and returns
+the exit code: 0 success, 1 user error (bad arguments or files, parse or
+execution errors, output that cannot be printed, failing corpus tasks),
+2 internal error.  The corpus runs the same commands in memory.  `main`
+leaves the cyclic garbage collector as it finds it; `run`, the process
+entry point, turns it off, except under `-X dev`.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
+import gc
 import os
 import sys
 from pathlib import Path
@@ -55,10 +44,8 @@ def cmd_query(args, read) -> list[tuple[str | None, str]]:
     return [(None, render_result(evaluate(expr, graph)))]
 
 
-# `transform` and `corpus` are imported by the runs that use them, so that
-# a query run does not compile them.
-
 def _transform(args, read) -> list[tuple[str, str]]:
+    # imported on use, as the corpus is, so that a query run compiles neither
     from gretlite.transform.command import cmd_transform
     return cmd_transform(args, read)
 
@@ -123,19 +110,28 @@ def main(argv=None) -> int:
 
 
 def run():
-    """The process entry point: `main`, then the exit described above."""
+    """The process entry point of `python -m gretlite.cli` and `gretlite`:
+    `main` with the cyclic garbage collector off, as a run keeps what it
+    builds to the end and makes no cyclic garbage that grows with the input
+    (`tests/test_memory.py`); then the atexit callbacks, a flush of stdout
+    and stderr, and `os._exit`, which skips the interpreter's teardown.  A
+    flush that fails after `main` succeeded exits through `sys.exit`, whose
+    shutdown reports it.  Under `-X dev` the collector stays on and the
+    shutdown is the normal one, so files left open are reported and
+    `-m cProfile` prints its profile."""
+    if sys.flags.dev_mode:
+        sys.exit(main())
+    gc.disable()
     code = main()
-    if not sys.flags.dev_mode:
-        atexit._run_exitfuncs()
-        try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
-        except (OSError, ValueError):
-            if code == 0:
-                sys.exit(code)
-        os._exit(code)
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        if code == 0:
+            sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ order is the one reported.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from gretlite import model
 from gretlite.errors import GraphError, ParseError, SchemaError
@@ -264,13 +265,19 @@ def _value(e: re.Match):
 
 
 def save_graph(graph: model.Graph) -> str:
-    lines = [f"graph {graph.name} conforms {graph.schema.name};\n"]
     labels = vertex_labels(graph)
-    lines += [f"{label} : {v.class_name}{_store_text(v)};\n"
-              for v, label in labels.items()]
-    lines += [f"e{i} : {e.class_name} {labels[e.start]} -> {labels[e.end]}"
-              f"{_store_text(e)};\n" for i, e in enumerate(graph.edges, 1)]
-    return "".join(lines)
+    return f"graph {graph.name} conforms {graph.schema.name};\n" + joined(
+        f"{label} : {v.class_name}{_store_text(v)};\n"
+        for v, label in labels.items()) + joined(
+        f"e{i} : {e.class_name} {labels[e.start]} -> {labels[e.end]}"
+        f"{_store_text(e)};\n" for i, e in enumerate(graph.edges, 1))
+
+
+def joined(lines) -> str:
+    """`"".join(lines)` a thousand at a time: of the strings `lines`
+    yields, at most a thousand are alive at once, not one per line."""
+    lines = iter(lines)
+    return "".join(iter(lambda: "".join(islice(lines, 1000)), ""))
 
 
 def vertex_labels(graph: model.Graph) -> dict[Vertex, str]:

@@ -74,6 +74,13 @@ class Index(Record):
     __slots__ = ("target", "index")
 
 
+# the fields that hold a node's subexpressions, in evaluation order
+_PARTS = {Binary: ("left", "right"), PathApply: ("start",),
+          AttrAccess: ("target",), Unary: ("operand",),
+          Conditional: ("condition", "then_expr", "else_expr"),
+          Index: ("target", "index")}
+
+
 def children(node) -> tuple:
     """The subexpressions of `node`, in evaluation order.
 
@@ -81,20 +88,8 @@ def children(node) -> tuple:
     a map's key and value; walkers that track scope handle it themselves.
     """
     match node:
-        case Binary():
-            return (node.left, node.right)
         case Call():
             return node.args
-        case PathApply():
-            return (node.start,)
-        case AttrAccess():
-            return (node.target,)
-        case Unary():
-            return (node.operand,)
-        case Conditional():
-            return (node.condition, node.then_expr, node.else_expr)
-        case Index():
-            return (node.target, node.index)
         case MapLit():
             return tuple(part for entry in node.entries for part in entry)
         case Comprehension():
@@ -102,4 +97,4 @@ def children(node) -> tuple:
             if node.condition is not None:
                 parts.append(node.condition)
             return (*parts, *node.exprs)
-    return ()
+    return tuple([getattr(node, part) for part in _PARTS.get(type(node), ())])

@@ -1,5 +1,6 @@
 """Canonical textual reports: query results and traceability listings."""
 
+from gretlite.formats import joined
 from gretlite.values import ValueMap, render_value, rendered_entries
 
 
@@ -17,7 +18,7 @@ def render_result(value) -> str:
 def trace_report(trace) -> str:
     """One `Class: archetype -> element` line per entry of `trace`, a
     `TraceabilityMap`."""
-    return "".join([
+    return joined(
         f"{class_name}: {render_value(archetype)} -> {element.ref()}\n"
         for class_name in trace.classes()
-        for archetype, element in trace.entries(class_name)])
+        for archetype, element in trace.entries(class_name))

@@ -14,8 +14,8 @@ from gretlite.transform.parser import parse_script
 
 
 def cmd_transform(args, read) -> list[tuple[str, str]]:
-    # No output may replace another output or an input, but `--out` the
-    # source.  `named` maps each real path to the first file naming it.
+    # No output may name a directory, another output, or an input other
+    # than `--out` the source.  `named` maps a real path to its first name.
     named: dict[str, str] = {}
     for what, path in (("the script", args.script),
                        ("the target schema", args.target_schema),
@@ -24,9 +24,11 @@ def cmd_transform(args, read) -> list[tuple[str, str]]:
                        ("--trace", args.trace), ("--dot", args.dot)):
         if path is None:
             continue
+        output = what in ("--out", "--trace", "--dot")
+        if output and (path.endswith(os.sep) or os.path.isdir(path)):
+            raise UsageError(f"{what} names a directory: {path}")
         first = named.setdefault(os.path.realpath(path), what)
-        if first != what and what in ("--out", "--trace", "--dot") and (
-                first, what) != ("--source", "--out"):
+        if output and first != what and (first, what) != ("--source", "--out"):
             raise UsageError(f"{first} and {what} name the same file: {path}")
     target_schema = load_schema(read(args.target_schema))
     transformation = parse_script(read(args.script))
@@ -59,7 +61,6 @@ def write_all(outputs: list[tuple[str, str]]):
     output written and no partial file.  An error names the path it was
     writing, not its staging file."""
     staged: list[tuple[str, str]] = []
-    path = None
     try:
         for path, text in outputs:
             directory = os.path.dirname(os.path.abspath(path))

@@ -1,3 +1,4 @@
+import gc
 import os
 import shutil
 import stat
@@ -299,6 +300,28 @@ def test_out_may_rewrite_the_source(workdir, monkeypatch):
         corpus.read_text("golden/09-out.glg")
 
 
+@pytest.mark.parametrize("slash", ["", "/"])
+@pytest.mark.parametrize("option", ["--out", "--trace", "--dot"])
+def test_output_naming_a_directory_is_a_usage_error(workdir, capsys,
+                                                    monkeypatch, option,
+                                                    slash):
+    # `--trace d` once renamed the `--out` file into place, then failed
+    monkeypatch.chdir(workdir)
+    (workdir / "d").mkdir()
+    (workdir / "d" / "kept.txt").write_text("kept\n", encoding="utf-8")
+
+    def listing():
+        return {str(p.relative_to(workdir)): p.is_file() and p.read_bytes()
+                for p in workdir.rglob("*")}
+
+    before = listing()
+    assert main(_IN_PLACE + [option, "d" + slash]) == 1
+    assert listing() == before
+    assert not list(workdir.rglob(".gretlite-*"))
+    assert capsys.readouterr().err == \
+        f"error: {option} names a directory: d{slash}\n"
+
+
 def test_transform_outputs_get_umask_permissions(workdir):
     old_umask = os.umask(0o027)
     try:
@@ -371,7 +394,7 @@ print(sum(Path(module.__file__).read_text(encoding="utf-8").count("\\n")
 # Each process compiles every line of the gretlite modules it loads.  A
 # change that loads fewer lowers this number, as it lowers CI's source
 # budget.
-QUERY_RUN_LINES = 2537
+QUERY_RUN_LINES = 2536
 
 
 def test_query_run_loads_at_most_its_line_budget():
@@ -531,6 +554,37 @@ def test_development_mode_shuts_down_and_reports_open_files(workdir):
     run = _process(["-c", _LEFT_OPEN, *_QUERY], workdir, python=("-X", "dev"))
     assert (run.returncode, run.stdout) == (0, b"6\n")
     assert b"ResourceWarning: unclosed file" in run.stderr
+
+
+_COLLECTOR = """
+import atexit, gc, sys
+from gretlite import cli
+atexit.register(lambda: print(gc.isenabled(), file=sys.stderr))
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("python, enabled", [((), b"False\n"),
+                                             (("-X", "dev"), b"True\n")])
+def test_a_process_runs_without_the_cyclic_collector_but_under_dev_mode(
+        workdir, python, enabled):
+    run = _process(["-c", _COLLECTOR, *_QUERY], workdir, python=python)
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"6\n", enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", [_QUERY, _IN_PLACE])
+def test_main_leaves_the_collector_as_its_caller_set_it(workdir, capsys,
+                                                        monkeypatch, argv,
+                                                        enabled):
+    monkeypatch.chdir(workdir)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

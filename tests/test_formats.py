@@ -284,7 +284,10 @@ digraph G {
 def test_loading_adds_few_gc_tracked_objects_per_element(graph1_schema):
     """A loaded edge is one object the garbage collector tracks, and a
     vertex that has edges two (itself and its incidence dict): nothing per
-    incidence, and attribute dicts of strings and numbers go untracked."""
+    incidence, and attribute dicts of strings and numbers go untracked.
+    A `gretlite` process turns the cyclic collector off, but `-X dev` runs
+    and in-process callers (the corpus, the tests, the benchmark's tracer)
+    keep it, and each collection there rescans every tracked object."""
     text = gen.write_sample(gen.sample(5, 500, 20, 0.05))
     gc.collect()
     before = len(gc.get_objects())

@@ -1,9 +1,10 @@
 """What a loaded graph and a migration's trace cost in memory, on the
 2000-node sample of the benchmark's bulk workload (`perfbench/gen.py`):
 bytes per element, the stores and strings elements share with their
-schema, and outputs that stay the same while the layout underneath them
-changes."""
+schema, outputs that stay the same while the layout underneath them
+changes, and cyclic garbage that does not grow with the input."""
 
+import gc
 import hashlib
 import sys
 import tracemalloc
@@ -15,6 +16,8 @@ from gretlite import corpus
 from gretlite.errors import GraphError, SchemaError
 from gretlite.formats import load_graph, load_schema, save_graph
 from gretlite.model import Graph
+from gretlite.query.evaluator import evaluate
+from gretlite.query.parser import parse_query
 from gretlite.report import trace_report
 from gretlite.transform.engine import execute
 from gretlite.transform.parser import parse_script
@@ -91,3 +94,69 @@ def test_bulk_migration_outputs_are_unchanged(bulk):
     assert digests == [
         "db95213a3926306c73f809e2aff4f52b1171935dca26271c02ddda12b7771082",
         "fec2a96853e6b4ed75a1efe21bf8594268ede893106f3db4d7627c7706f35985"]
+
+
+# `cli.run` turns the cyclic collector off for a whole process, which is
+# safe only while the objects a run leaves in reference cycles are few and
+# do not grow with the input: loads leave none, and a query or script
+# leaves only the closures and records it compiles.
+
+_PEEL = ("transformation Peel;\nIteratively { Delete from n : V{Node} with "
+         "degree{NodeLinksToLinksTo}(n) <= 1 reportSet n end; }\n")
+
+
+def _cyclic_garbage(work):
+    """The objects the cyclic collector frees after `work()` ran with the
+    collector off, the result of `work` still alive; and that result."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = work()
+        return gc.collect(), result
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _job(job: str, size: int, graph1_schema, graph2_schema):
+    """A function that runs `job` on an input of `size` nodes: the bulk
+    sample's jobs on `gen.sample`, script 14 and the peeling script on
+    `gen.chain`; everything but the work itself is made beforehand."""
+    if job in ("t14", "peel"):
+        text = gen.write_chain(gen.chain(2011, size))
+        source = load_graph(text, graph2_schema)
+        script = parse_script(_PEEL if job == "peel" else
+                              corpus.read_text("14-insert-transitive-edges.grt"))
+        return lambda: execute(script, source, in_place=True)
+    text = gen.write_sample(gen.sample(2011, size, 20, 0.05), "bulk")
+    if job == "load":
+        return lambda: load_graph(text, graph1_schema)
+    source = load_graph(text, graph1_schema)
+    if job == "q05":
+        query = parse_query(corpus.read_text("05-count-loops.grq"))
+        return lambda: evaluate(query, source)
+    if job == "t10":
+        script = parse_script(corpus.read_text("10-simple-migration.grt"))
+        evo = load_schema(corpus.read_text("graph1evo.gls"))
+        return lambda: execute(script, source, target_schema=evo)
+    name = {"t13": "13-delete-node-n1-and-edges.grt",
+            "t09": "09-reverse-edges.grt"}[job]
+    script = parse_script(corpus.read_text(name))
+    return lambda: execute(script, source, in_place=True)
+
+
+@pytest.mark.parametrize("job", ["load", "q05", "t10", "t13", "t09", "t14",
+                                 "peel"])
+def test_cyclic_garbage_does_not_grow_with_the_input(job, graph1_schema,
+                                                     graph2_schema):
+    counts = []
+    for size in (40, 640) if job in ("t14", "peel") else (500, 2000):
+        count, result = _cyclic_garbage(
+            _job(job, size, graph1_schema, graph2_schema))
+        counts.append(count)
+        if job == "peel":  # two ends a round, then a round with no change
+            assert result.op_counts == [("Iteratively", size // 2 + 1)]
+    if job == "load":
+        assert counts == [0, 0]
+    assert abs(counts[0] - counts[1]) <= 8 and max(counts) < 400, counts
