@@ -12,10 +12,15 @@ this directory write files equal to the goldens.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from gretlite import cli
 from gretlite.errors import UsageError
+
+# One argument parser per process: each leaves objects in reference
+# cycles, which a process without the cyclic collector keeps to its end.
+_parser = cache(lambda: cli.build_parser())
 
 # (number, title, *command lines)
 TASKS: tuple[tuple, ...] = (
@@ -84,9 +89,8 @@ def run_task(task, root=None) -> TaskResult:
     def read(name: str) -> str:
         return outputs[name] if name in outputs else read_text(name, root)
 
-    parser = cli.build_parser()
     for command in commands:
-        args = parser.parse_args(command.split())
+        args = _parser().parse_args(command.split())
         for path, text in args.fn(args, read):
             outputs[f"{number:02d}-out.txt" if path is None else path] = text
     for name, actual in outputs.items():

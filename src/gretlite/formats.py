@@ -32,7 +32,7 @@ import re
 from itertools import islice
 
 from gretlite import model
-from gretlite.errors import GraphError, ParseError, SchemaError
+from gretlite.errors import GraphError, SchemaError
 from gretlite.lexer import (IDENT, NUMBER, STRING, TokenStream, scan,
                             string_value, tokenize)
 from gretlite.model import Vertex, VertexClass
@@ -82,9 +82,7 @@ def _class_decl(ts: TokenStream, schema: model.Schema):
     is_abstract = ts.accept("abstract")
     if is_aggregation and ts.peek().text == "vertexclass":
         ts.error("'aggregation' applies to edge classes only")
-    if ts.peek().text not in ("vertexclass", "edgeclass"):
-        ts.error("expected a class declaration")
-    kind = ts.next().text
+    kind = ts.expect("a class declaration", ("vertexclass", "edgeclass")).text
     name = ts.expect_ident().text
     fields = {"is_abstract": is_abstract, "supertypes": _supertypes(ts)}
     define = schema.define_vertex_class
@@ -100,16 +98,13 @@ def _class_decl(ts: TokenStream, schema: model.Schema):
     try:
         define(name, **fields)
     except SchemaError as exc:
-        raise ParseError(str(exc), tok.line, tok.column) from None
+        ts.fail(str(exc), tok)
 
 
 def _supertypes(ts: TokenStream) -> tuple[str, ...]:
     if not ts.accept(":"):
         return ()
-    supers = [ts.expect_ident().text]
-    while ts.accept(","):
-        supers.append(ts.expect_ident().text)
-    return tuple(supers)
+    return ts.separated(lambda: ts.expect_ident().text)
 
 
 def _attr_block(ts: TokenStream) -> tuple:
@@ -120,11 +115,9 @@ def _attr_block(ts: TokenStream) -> tuple:
         name = ts.expect_ident().text
         ts.expect_symbol(":")
         type_tok = ts.expect_ident()
-        atype = _ATTR_TYPES.get(type_tok.text)
-        if atype is None:
-            raise ParseError(f"unknown attribute type '{type_tok.text}'",
-                             type_tok.line, type_tok.column)
-        attrs.append((name, atype))
+        if type_tok.text not in _ATTR_TYPES:
+            ts.fail(f"unknown attribute type '{type_tok.text}'", type_tok)
+        attrs.append((name, _ATTR_TYPES[type_tok.text]))
         ts.accept(",")
     return tuple(attrs)
 
@@ -133,13 +126,9 @@ def _skip_multiplicity(ts: TokenStream):
     # multiplicities like (0,*) are accepted and ignored
     if not ts.accept("("):
         return
-    if ts.peek().kind != "NUMBER":
-        ts.error("expected a multiplicity lower bound")
-    ts.next()
+    ts.expect("a multiplicity lower bound", kinds=("NUMBER",))
     ts.expect_symbol(",")
-    if not (ts.at_symbol("*") or ts.peek().kind == "NUMBER"):
-        ts.error("expected a multiplicity upper bound")
-    ts.next()
+    ts.expect("a multiplicity upper bound", ("*",), kinds=("NUMBER",))
     ts.expect_symbol(")")
 
 
@@ -153,9 +142,8 @@ def load_graph(text: str, schema: model.Schema) -> model.Graph:
     ts.expect_ident("conforms")
     schema_tok = ts.expect_ident()
     if schema_tok.text != schema.name:
-        raise ParseError(f"graph conforms to '{schema_tok.text}' but schema "
-                         f"'{schema.name}' was given",
-                         schema_tok.line, schema_tok.column)
+        ts.fail(f"graph conforms to '{schema_tok.text}' but schema "
+                f"'{schema.name}' was given", schema_tok)
     ts.expect_symbol(";")
     graph = model.Graph(schema, name=name_tok.text)
     labels: dict[str, model.Element] = {}
@@ -199,14 +187,12 @@ def _fault(text: str, pos: int, graph: model.Graph, labels):
     ts = TokenStream(scan(text, pos))
     label = ts.expect_ident()
     if label.text in labels:
-        raise ParseError(f"duplicate element id '{label.text}'",
-                         label.line, label.column)
+        ts.fail(f"duplicate element id '{label.text}'", label)
     ts.expect_symbol(":")
     class_tok = ts.expect_ident()
     cls = graph.schema._classes.get(class_tok.text)
     if cls is None:
-        raise ParseError(f"unknown class '{class_tok.text}'",
-                         class_tok.line, class_tok.column)
+        ts.fail(f"unknown class '{class_tok.text}'", class_tok)
     try:
         if type(cls) is VertexClass:
             element = graph.create_vertex(cls.name)
@@ -215,7 +201,7 @@ def _fault(text: str, pos: int, graph: model.Graph, labels):
             ts.expect_symbol("->")
             element = graph.create_edge(cls.name, tail, _vertex(ts, labels))
     except GraphError as exc:
-        raise ParseError(str(exc), class_tok.line, class_tok.column) from None
+        ts.fail(str(exc), class_tok)
     if ts.accept("{"):
         while not ts.accept("}"):
             name = ts.expect_ident()
@@ -223,7 +209,7 @@ def _fault(text: str, pos: int, graph: model.Graph, labels):
             try:
                 element.set_attr(name.text, _literal(ts))
             except (GraphError, SchemaError) as exc:
-                raise ParseError(str(exc), name.line, name.column) from None
+                ts.fail(str(exc), name)
             ts.accept(",")
     ts.expect_symbol(";")
     raise AssertionError(f"no fault in the statement at offset {pos}")
@@ -233,24 +219,18 @@ def _vertex(ts: TokenStream, labels) -> Vertex:
     tok = ts.expect_ident()
     element = labels.get(tok.text)
     if element is None:
-        raise ParseError(f"edge references undeclared element '{tok.text}'",
-                         tok.line, tok.column)
+        ts.fail(f"edge references undeclared element '{tok.text}'", tok)
     if not isinstance(element, Vertex):
-        raise ParseError(f"edge endpoint '{tok.text}' is not a vertex",
-                         tok.line, tok.column)
+        ts.fail(f"edge endpoint '{tok.text}' is not a vertex", tok)
     return element
 
 
 def _literal(ts: TokenStream):
     if ts.accept("-"):
-        if ts.peek().kind != "NUMBER":
-            ts.error("expected a number after '-'")
-        return -ts.next().value
+        return -ts.expect("a number after '-'", kinds=("NUMBER",)).value
     if ts.peek().text in ("true", "false"):
         return ts.next().text == "true"
-    if ts.peek().kind not in ("NUMBER", "STRING"):
-        ts.error("expected a literal")
-    return ts.next().value
+    return ts.expect("a literal", kinds=("NUMBER", "STRING")).value
 
 
 def _value(e: re.Match):

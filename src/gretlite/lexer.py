@@ -1,4 +1,7 @@
-"""Tokenizer shared by the query, script, schema, and graph-file parsers."""
+"""Tokenizer shared by the query, script, schema, and graph-file parsers.
+
+`TokenStream.fail` is the one place where a parser turns a token into a
+positioned ParseError, so how a position is computed changes there only."""
 
 from __future__ import annotations
 
@@ -140,10 +143,16 @@ class TokenStream:
     def at_eof(self) -> bool:
         return self.peek().kind == "EOF"
 
-    def expect_symbol(self, symbol: str) -> Token:
-        if not self.at_symbol(symbol):
-            self.error(f"expected '{symbol}'")
+    def expect(self, what: str, texts=(), kinds=()) -> Token:
+        """Consume the next token if its text is in `texts` or its kind in
+        `kinds`; otherwise fail with "expected `what`"."""
+        tok = self.peek()
+        if tok.text not in texts and tok.kind not in kinds:
+            self.error(f"expected {what}")
         return self.next()
+
+    def expect_symbol(self, symbol: str) -> Token:
+        return self.expect(f"'{symbol}'", (symbol,))
 
     def expect_ident(self, word: str | None = None) -> Token:
         tok = self.peek()
@@ -151,7 +160,18 @@ class TokenStream:
             self.error(f"expected {word or 'identifier'}")
         return self.next()
 
+    def separated(self, item) -> tuple:
+        """One or more `item()`s separated by ','."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return tuple(items)
+
     def error(self, message: str):
-        tok = self.peek()
-        found = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError(f"{message}, found '{found}'", tok.line, tok.column)
+        found = self.peek().text or "end of input"  # only EOF has no text
+        self.fail(f"{message}, found '{found}'")
+
+    def fail(self, message: str, tok: Token | None = None):
+        """Raise a ParseError at `tok`, or at the next token if None."""
+        tok = tok or self.peek()
+        raise ParseError(message, tok.line, tok.column) from None

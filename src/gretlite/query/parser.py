@@ -18,7 +18,6 @@ everything that walks an AST walks those chains without recursion.
 
 from __future__ import annotations
 
-from gretlite.errors import ParseError
 from gretlite.lexer import TokenStream, tokenize
 from gretlite.query import nodes as n
 from gretlite.values import UNDEFINED
@@ -119,14 +118,10 @@ class QueryParser:
         """The `{...}` class list that comes next, or () if none does."""
         if not self.ts.accept("{"):
             return ()
-        specs = []
-        while True:
-            name = self.ts.expect_ident().text
-            specs.append(n.ClassSpec(name, self.ts.accept("!")))
-            if not self.ts.accept(","):
-                break
+        specs = self.ts.separated(lambda: n.ClassSpec(
+            self.ts.expect_ident().text, self.ts.accept("!")))
         self.ts.expect_symbol("}")
-        return tuple(specs)
+        return specs
 
     def _primary(self):
         tok = self.ts.peek()
@@ -152,11 +147,9 @@ class QueryParser:
             return self._comprehension()
         if word in RESERVED:
             self.ts.error(f"unexpected '{word}'")
-        if word == "map" and self.ts.peek(1).text == "(":
-            self.ts.next()
-            self.ts.next()
-            return n.MapLit(self._arguments(self._map_entry))
         self.ts.next()
+        if word == "map" and self.ts.accept("("):
+            return n.MapLit(self._arguments(self._map_entry))
         if self.ts.at_symbol("{"):
             classes = self._class_list()
             self.ts.expect_symbol("(")
@@ -164,20 +157,15 @@ class QueryParser:
             classes = None
         else:
             if word not in self._bound and not self._external(word):
-                raise ParseError(f"unbound variable '{word}'", tok.line,
-                                 tok.column)
+                self.ts.fail(f"unbound variable '{word}'", tok)
             return n.VarRef(word)
         return n.Call(word, classes, self._arguments(self.parse_expression))
 
     def _arguments(self, item) -> tuple:
         """`item`s separated by ',' up to a ')', which it consumes."""
-        items = []
-        if not self.ts.at_symbol(")"):
-            items.append(item())
-            while self.ts.accept(","):
-                items.append(item())
+        items = () if self.ts.at_symbol(")") else self.ts.separated(item)
         self.ts.expect_symbol(")")
-        return tuple(items)
+        return items
 
     def _map_entry(self) -> tuple:
         key = self.parse_expression()
@@ -187,35 +175,26 @@ class QueryParser:
     def _comprehension(self):
         self.ts.expect_ident("from")
         outer = len(self._bound)
-        groups = [self._decl_group()]
-        while self.ts.accept(","):
-            groups.append(self._decl_group())
+        groups = self.ts.separated(self._decl_group)
         condition = None
         if self.ts.accept("with"):
             condition = self.parse_expression()
-        kind = _REPORT_KINDS.get(self.ts.peek().text)
-        if kind is None:
-            self.ts.error("expected a report clause")
-        self.ts.next()
+        kind = _REPORT_KINDS[self.ts.expect("a report clause",
+                                            _REPORT_KINDS).text]
         if kind == "map":
             exprs = self._map_entry()
         else:
-            exprs = [self.parse_expression()]
-            while self.ts.accept(","):
-                exprs.append(self.parse_expression())
+            exprs = self.ts.separated(self.parse_expression)
         self.ts.expect_ident("end")
         del self._bound[outer:]
-        return n.Comprehension(tuple(groups), condition, kind, tuple(exprs))
+        return n.Comprehension(groups, condition, kind, exprs)
 
     def _decl_group(self) -> n.DeclGroup:
         names = [self._decl_name()]
         # `x, y : D` — the name list continues while the token after the
         # next identifier is ',' or ':'; otherwise the ',' starts a new group.
-        while (
-            self.ts.at_symbol(",")
-            and self.ts.peek(1).kind == "IDENT"
-            and self.ts.peek(2).text in (",", ":")
-        ):
+        while (self.ts.at_symbol(",") and self.ts.peek(1).kind == "IDENT"
+               and self.ts.peek(2).text in (",", ":")):
             self.ts.next()
             names.append(self._decl_name())
         self.ts.expect_symbol(":")
@@ -226,10 +205,8 @@ class QueryParser:
     def _decl_name(self) -> str:
         tok = self.ts.expect_ident()
         if tok.text in RESERVED:
-            raise ParseError(
-                f"'{tok.text}' is reserved and cannot be declared",
-                tok.line, tok.column,
-            )
+            self.ts.fail(f"'{tok.text}' is reserved and cannot be declared",
+                         tok)
         return tok.text
 
 

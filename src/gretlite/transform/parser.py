@@ -18,7 +18,6 @@ limit; a deeper one is a ParseError at its keyword.
 
 from __future__ import annotations
 
-from gretlite.errors import ParseError
 from gretlite.lexer import TokenStream, tokenize
 from gretlite.query.parser import MAX_DEPTH, parse_embedded
 from gretlite.transform import ops
@@ -44,10 +43,8 @@ def parse_script(text: str) -> ops.Transformation:
 
 def _statement(ts: TokenStream, depth: int):
     """One operation; `depth` counts the Iteratively blocks around it."""
-    tok = ts.peek()
-    if tok.kind != "IDENT" or tok.text not in _STATEMENT_KEYWORDS:
-        ts.error("expected an operation keyword")
-    keyword = ts.next().text
+    tok = ts.expect("an operation keyword", _STATEMENT_KEYWORDS)
+    keyword = tok.text
     op = getattr(ops, keyword)  # each keyword names its op's class
     # arguments are evaluated left to right, so tokens are read in order
     if keyword in ("CreateVertices", "CreateEdges"):
@@ -59,14 +56,13 @@ def _statement(ts: TokenStream, depth: int):
     if keyword in ("CreateSubgraph", "MatchReplace"):
         return op(_TemplateParser(ts).parse(), _query_after_arrow(ts))
     if keyword == "Delete":
-        query = parse_embedded(ts, ops.trace_view)
+        query = _query(ts)
         ts.expect_symbol(";")
         return op(query)
     # Iteratively
     if depth == MAX_DEPTH:
-        raise ParseError(
-            f"Iteratively blocks nested more than {MAX_DEPTH} levels deep",
-            tok.line, tok.column)
+        ts.fail(f"Iteratively blocks nested more than {MAX_DEPTH} levels deep",
+                tok)
     ts.expect_symbol("{")
     body = []
     while not ts.at_symbol("}"):
@@ -81,9 +77,14 @@ def _statement(ts: TokenStream, depth: int):
 
 def _query_after_arrow(ts: TokenStream):
     ts.expect_symbol("<==")
-    query = parse_embedded(ts, ops.trace_view)
+    query = _query(ts)
     ts.expect_symbol(";")
     return query
+
+
+def _query(ts: TokenStream):
+    """An embedded query, which may name the trace views."""
+    return parse_embedded(ts, ops.trace_view)
 
 
 class _TemplateParser:
@@ -93,9 +94,7 @@ class _TemplateParser:
         self.aliases: dict[str, ops.TemplateVertex] = {}
 
     def parse(self) -> ops.Template:
-        self._chain()
-        while self.ts.accept(","):
-            self._chain()
+        self.ts.separated(self._chain)
         return ops.Template(tuple(self.aliases.values()), tuple(self.edges))
 
     def _chain(self):
@@ -114,55 +113,49 @@ class _TemplateParser:
             if self.ts.accept(")"):
                 return self._known(tok)
             if self.ts.accept(":="):
-                ref = parse_embedded(self.ts, ops.trace_view)
-                assigns = self._assigns()
-                self.ts.expect_symbol(")")
-                return self._declare(tok, ref=ref, assigns=assigns)
-            self.ts.expect_symbol(":")
-            class_name = self.ts.expect_ident().text
-            self.ts.expect_symbol("|")
-            self.ts.expect_ident("arch")
-            self.ts.expect_symbol("=")
-            arch = parse_embedded(self.ts, ops.trace_view)
-            assigns = self._assigns()
+                fields = {"ref": _query(self.ts)}
+            else:
+                self.ts.expect_symbol(":")
+                fields = {"class_name": self.ts.expect_ident().text}
+                self.ts.expect_symbol("|")
+                fields["arch"] = self._arch()
+            fields["assigns"] = self._assigns()
             self.ts.expect_symbol(")")
-            return self._declare(tok, class_name=class_name, arch=arch,
-                                 assigns=assigns)
+            return self._declare(tok, **fields)
         return self._known(self.ts.expect_ident())
 
     def _arrow_body(self):
         self.ts.expect_symbol("{")
         class_name = self.ts.expect_ident().text
-        arch = None
-        if self.ts.accept("|"):
-            self.ts.expect_ident("arch")
-            self.ts.expect_symbol("=")
-            arch = parse_embedded(self.ts, ops.trace_view)
+        arch = self._arch() if self.ts.accept("|") else None
         assigns = self._assigns()
         self.ts.expect_symbol("}")
         return class_name, arch, assigns
 
+    def _arch(self):
+        """The query of an `arch = Q` that follows a '|'."""
+        self.ts.expect_ident("arch")
+        self.ts.expect_symbol("=")
+        return _query(self.ts)
+
     def _assigns(self) -> tuple:
-        assigns = []
-        while self.ts.accept(","):
-            name = self.ts.expect_ident().text
-            self.ts.expect_symbol("=")
-            assigns.append((name, parse_embedded(self.ts, ops.trace_view)))
-        return tuple(assigns)
+        return self.ts.separated(self._assign) if self.ts.accept(",") else ()
+
+    def _assign(self) -> tuple:
+        name = self.ts.expect_ident().text
+        self.ts.expect_symbol("=")
+        return name, _query(self.ts)
 
     def _declare(self, tok, **fields) -> str:
         """Declare the alias the token `tok` names, for a vertex of `fields`."""
         if tok.text in self.aliases:
-            raise ParseError(
-                f"duplicate template alias '{tok.text}'", tok.line, tok.column
-            )
+            self.ts.fail(f"duplicate template alias '{tok.text}'",
+                         tok)
         self.aliases[tok.text] = ops.TemplateVertex(tok.text, **fields)
         return tok.text
 
     def _known(self, tok) -> str:
         """The alias the token `tok` names, which must be declared."""
         if tok.text not in self.aliases:
-            raise ParseError(
-                f"unknown template alias '{tok.text}'", tok.line, tok.column
-            )
+            self.ts.fail(f"unknown template alias '{tok.text}'", tok)
         return tok.text

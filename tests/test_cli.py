@@ -85,6 +85,71 @@ def test_parse_error_is_a_user_error(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_SCHEMA_RUN = "query bad.gls sample1.glg 04-count-nodes.grq"
+_GRAPH_RUN = "query graph1.gls bad.glg 04-count-nodes.grq"
+_QUERY_RUN = "query graph1.gls sample1.glg bad.grq"
+_SCRIPT_RUN = "transform bad.grt graph1.gls --out out.glg"
+_GRAPH = "graph g conforms graph1;\n"
+
+
+# One row per parse fault that a parser raises at a token it has already
+# read (every other one reads "expected ..., found ..." at the next token):
+# the files written, the command line, and the one line printed.
+@pytest.mark.parametrize("files, command, message", [
+    ({"bad.gls": "schema s;\nvertexclass A;\nvertexclass A;\n"}, _SCHEMA_RUN,
+     "duplicate class name 'A' (line 3, column 1)"),
+    ({"bad.gls": "schema s;\nvertexclass A { x: Float };\n"}, _SCHEMA_RUN,
+     "unknown attribute type 'Float' (line 2, column 20)"),
+    ({"bad.glg": "graph g conforms other;\n"}, _GRAPH_RUN,
+     "graph conforms to 'other' but schema 'graph1' was given "
+     "(line 1, column 18)"),
+    ({"bad.glg": _GRAPH + "a : Node;\na : Node;\n"}, _GRAPH_RUN,
+     "duplicate element id 'a' (line 3, column 1)"),
+    ({"bad.glg": _GRAPH + "a : Widget;\n"}, _GRAPH_RUN,
+     "unknown class 'Widget' (line 2, column 5)"),
+    ({"abs.gls": "schema s;\nabstract vertexclass A;\n",
+      "bad.glg": "graph g conforms s;\na : A;\n"},
+     "query abs.gls bad.glg 04-count-nodes.grq",
+     "class 'A' is abstract (line 2, column 5)"),
+    ({"bad.glg": _GRAPH + "n : Node;\nx : Edge_;\n"
+      "s : Edge_LinksToSrc n -> x;\n"}, _GRAPH_RUN,
+     "start vertex of 'Edge_LinksToSrc' must conform to 'Edge_', "
+     "got 'Node' (line 4, column 5)"),
+    ({"bad.glg": _GRAPH + 'v1 : Node { nme = "x" };\n'}, _GRAPH_RUN,
+     "class 'Node' declares no attribute 'nme' (line 2, column 13)"),
+    ({"bad.glg": _GRAPH + "x : Edge_;\ns : Edge_LinksToSrc x -> v9;\n"},
+     _GRAPH_RUN,
+     "edge references undeclared element 'v9' (line 3, column 26)"),
+    ({"bad.glg": _GRAPH + "x : Edge_;\nn : Node;\n"
+      "s : Edge_LinksToSrc x -> n;\nt : Edge_LinksToTrg x -> s;\n"},
+     _GRAPH_RUN, "edge endpoint 's' is not a vertex (line 5, column 26)"),
+    ({"bad.grq": "count(V{Node}) +\n  y\n"}, _QUERY_RUN,
+     "unbound variable 'y' (line 2, column 3)"),
+    ({"bad.grq": "from x, end : V{Node} report x end\n"}, _QUERY_RUN,
+     "'end' is reserved and cannot be declared (line 1, column 9)"),
+    ({"bad.grt": "transformation t;\n" + "Iteratively {\n" * 51
+      + "Delete set();\n" + "}\n" * 51}, _SCRIPT_RUN,
+     "Iteratively blocks nested more than 50 levels deep (line 52, column 1)"),
+    ({"bad.grt": "transformation t;\nCreateSubgraph (a : Node | arch = 1) "
+      "--> {Edge_LinksToSrc} (a : Node | arch = 2) <== set(1);\n"},
+     _SCRIPT_RUN, "duplicate template alias 'a' (line 2, column 61)"),
+    ({"bad.grt": "transformation t;\nCreateSubgraph (a : Node | arch = 1), "
+      "(b) <== set(1);\n"}, _SCRIPT_RUN,
+     "unknown template alias 'b' (line 2, column 40)"),
+], ids=["class-clash", "attribute-type", "schema-name", "element-id",
+        "element-class", "abstract-class", "end-class", "attribute",
+        "undeclared-end", "edge-end", "unbound", "reserved", "iteratively",
+        "duplicate-alias", "unknown-alias"])
+def test_parse_faults_print_their_position(workdir, capsys, monkeypatch,
+                                           files, command, message):
+    monkeypatch.chdir(workdir)
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    assert main(command.split()) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (workdir / "out.glg").exists()
+
+
 def test_unexpected_exception_is_an_internal_error(workdir, capsys,
                                                    monkeypatch):
     def broken(args, read):
@@ -394,7 +459,7 @@ print(sum(Path(module.__file__).read_text(encoding="utf-8").count("\\n")
 # Each process compiles every line of the gretlite modules it loads.  A
 # change that loads fewer lowers this number, as it lowers CI's source
 # budget.
-QUERY_RUN_LINES = 2536
+QUERY_RUN_LINES = 2513
 
 
 def test_query_run_loads_at_most_its_line_budget():
@@ -669,6 +734,18 @@ def test_corpus_compares_exactly_the_golden_files():
     compared = {name for r in corpus.run_corpus() for name in r.outputs}
     golden = corpus.default_root() / "golden"
     assert compared == {entry.name for entry in golden.iterdir()}
+
+
+def test_corpus_runs_share_one_argument_parser(monkeypatch):
+    # each parser a process builds stays in reference cycles to its end
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: calls.append(build) or build())
+    corpus._parser.cache_clear()
+    for _ in range(2):
+        assert all(r.passed for r in corpus.run_corpus())
+    assert len(calls) == 1
 
 
 def _copied_corpus(tmp_path):

@@ -4,7 +4,10 @@ from hypothesis import strategies as st
 
 from gretlite import corpus
 from gretlite.errors import ParseError
+from gretlite.formats import load_schema
 from gretlite.lexer import _SYMBOLS, TokenStream, string_value, tokenize
+from gretlite.query.parser import parse_query
+from gretlite.transform.parser import parse_script
 
 import oracles
 
@@ -111,3 +114,80 @@ def test_string_literal_values(literal, value):
     # one literal per escape, and literals without a backslash
     assert string_value(literal) == value
     assert tokenize(literal)[0].value == value
+
+
+@pytest.mark.parametrize("text, items", [
+    ("a ;", ("a",)), ("a, b ;", ("a", "b")), ("a, b, c ;", ("a", "b", "c")),
+    ("a, b c", ("a", "b")),
+])
+def test_separated_stops_at_the_token_after_the_last_item(text, items):
+    ts = TokenStream(tokenize(text))
+    assert ts.separated(lambda: ts.expect_ident().text) == items
+    assert ts.next().text == text[-1]
+
+
+# A trailing ',' fails in the item reader, at the token after it: one row
+# per comma list of the parsers.
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_query, "f(1,)",
+     "expected an expression, found ')' (line 1, column 5)"),
+    (parse_query, "V{A,}",
+     "expected identifier, found '}' (line 1, column 5)"),
+    (parse_query, "from x : V, report x end",
+     "'report' is reserved and cannot be declared (line 1, column 13)"),
+    (parse_query, "from x : V report x, end",
+     "unexpected 'end', found 'end' (line 1, column 22)"),
+    (load_schema, "schema s;\nvertexclass A;\nvertexclass B : A, {",
+     "expected identifier, found '{' (line 3, column 20)"),
+    (parse_script,
+     "transformation t;\nCreateSubgraph (a : T | arch = 1), <== 1;",
+     "expected identifier, found '<==' (line 2, column 36)"),
+    (parse_script,
+     "transformation t;\nCreateSubgraph (a : T | arch = 1, ) <== 1;",
+     "expected identifier, found ')' (line 2, column 35)"),
+], ids=["arguments", "classes", "declarations", "projections", "supertypes",
+        "template", "assignments"])
+def test_trailing_comma_fails_in_the_item_reader(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_fail_without_a_token_points_at_the_next_token():
+    ts = TokenStream(tokenize("a\n  b"))
+    first = ts.next()
+    with pytest.raises(ParseError) as info:
+        ts.fail("bad")
+    assert (str(info.value), info.value.line, info.value.column) == (
+        "bad (line 2, column 3)", 2, 3)
+    with pytest.raises(ParseError, match=r"^bad \(line 1, column 1\)$"):
+        ts.fail("bad", first)
+
+
+def test_fail_in_an_except_block_hides_the_exception_it_handles():
+    ts = TokenStream(tokenize("a"))
+    with pytest.raises(ParseError) as info:
+        try:
+            {}["a"]
+        except KeyError:
+            ts.fail("bad")
+    assert info.value.__suppress_context__
+    assert info.value.__cause__ is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x", "expected a number, found 'x' (line 1, column 1)"),
+    ("", "expected a number, found 'end of input' (line 1, column 1)"),
+])
+def test_expect_names_what_it_expected(text, message):
+    ts = TokenStream(tokenize(text))
+    with pytest.raises(ParseError) as info:
+        ts.expect("a number", ("*",), kinds=("NUMBER",))
+    assert str(info.value) == message
+
+
+def test_expect_takes_a_listed_text_or_kind():
+    ts = TokenStream(tokenize("* 7 ;"))
+    assert ts.expect("a bound", ("*",), kinds=("NUMBER",)).text == "*"
+    assert ts.expect("a bound", ("*",), kinds=("NUMBER",)).value == 7
+    assert ts.peek().text == ";"

@@ -303,7 +303,9 @@ def _frames(text, names=()):
 # (nesting form, deepest accepted count, frames): parsing the deepest
 # query takes at most `frames` Python frames, the count of the parser that
 # had one method per precedence level (about 11 frames a parenthesis, 2 a
-# `?:`; the table-driven parser takes 1 a `?:`)
+# `?:`; the table-driven parser takes 1 a `?:`); a call's arguments and a
+# comprehension's declarations are read through `TokenStream.separated`,
+# one frame more a level
 @pytest.mark.parametrize("form, deepest, frames", [
     (lambda k: "(" * k + "1" + ")" * k, 49, 553),
     (lambda k: "not " * k + "true", 49, 63),
@@ -311,7 +313,10 @@ def _frames(text, names=()):
     (lambda k: "true ? " * k + "1" + " : 2" * k, 49, 112),
     (lambda k: "true ? 1 : " * k + "2", 49, 112),
     (lambda k: "x" + ".a" * k, 49, 14),
-], ids=["parentheses", "not", "neg", "then", "else", "postfix"])
+    (lambda k: "x(" * k + "1" + ")" * k, 49, 651),
+    (lambda k: "from y : " * k + "x" + " report y end" * k, 49, 700),
+], ids=["parentheses", "not", "neg", "then", "else", "postfix", "calls",
+        "comprehensions"])
 def test_deepest_nesting_stays_within_its_stack(form, deepest, frames):
     parse_query(form(deepest), extra_names="x")
     with pytest.raises(ParseError, match="nested more than"):
